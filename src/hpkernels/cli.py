@@ -29,7 +29,6 @@ from .errors import (
     DomainError,
     EigenFailure,
     GridTooCoarse,
-    IllConditioned,
     MomentDivergence,
     NearSingular,
     NonConvergence,
@@ -79,7 +78,6 @@ _RUNTIME_ERRORS = (
     PoleError,
     DomainError,
     NonConvergence,
-    IllConditioned,
     MomentDivergence,
     DegreeError,
     GridTooCoarse,
@@ -87,6 +85,7 @@ _RUNTIME_ERRORS = (
     NearSingular,
     SingularCayley,
     QuadFailure,
+    OverflowError,
     np.linalg.LinAlgError,
 )
 
@@ -238,6 +237,9 @@ def _require(cond: bool, msg: str) -> None:
 
 def _validate(spec: RunSpec) -> None:
     p = spec.params
+    for name, (cast, _) in _PARAMS[spec.command].items():
+        if cast is float:
+            _require(math.isfinite(p[name]), f"{name} must be finite")
     _require(p["jobs"] >= 1, "jobs >= 1 required")
     if spec.command == "check":
         if p["suite"] in ("kernels", "opuc"):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .kernels import FiniteKernel, build_finite_kernel, eval_limit_kernel, LimitKernel
-from .quadrature import panel_nodes
+from .quadrature import graded_nodes, panel_nodes
 from .sampling import Configuration, SamplerConfig, sample_hp_matrix_s0_batch
 from .weights_opuc import CircleWeight, HPParam, build_opuc, cd_sum_circle
 
@@ -186,17 +186,11 @@ def principal_value_sums(config: Configuration, n_max: int) -> BalanceReport:
 # Uniform moment estimates
 
 
-def _half_window_nodes(eps: float, panels: int = 12, order: int = 20):
-    """Graded panel nodes on (0, eps], denser near 0."""
-    edges = eps * 2.0 ** np.arange(-panels, 1.0)
-    xs, ws = [], []
-    lo = 0.0
-    for hi in edges:
-        x, w = panel_nodes(lo, hi, order)
-        xs.append(x)
-        ws.append(w)
-        lo = hi
-    return np.concatenate(xs), np.concatenate(ws)
+def _half_window_nodes(eps: float, N: int, levels: int = 12, order: int = 20):
+    """Nodes on (0, eps], graded dyadically toward 0; order Gauss nodes per
+    panel, each dyadic piece cut into panels of width <= 2/N (the kernel
+    oscillates on the scale 1/N in x, and likewise in theta)."""
+    return graded_nodes(eps, levels, order, density=0.5 * N)
 
 
 def rho1_second_moment(param: HPParam, N: int, eps: float) -> float:
@@ -204,7 +198,7 @@ def rho1_second_moment(param: HPParam, N: int, eps: float) -> float:
     if eps <= 0:
         raise DomainError("eps > 0 required")
     k = build_finite_kernel(param, N)
-    x, w = _half_window_nodes(eps)
+    x, w = _half_window_nodes(eps, N)
     return 2.0 * float(np.sum(w * x * x * k.rho1(x)))
 
 
@@ -217,7 +211,7 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
         raise DomainError("eps > 0 required")
     basis = build_opuc(CircleWeight(param, "lambda"), N)
     theta_eps = 2.0 * math.atan(N * eps)
-    t, w = _half_window_nodes(theta_eps)
+    t, w = _half_window_nodes(theta_eps, N)
     vals = np.array([cd_sum_circle(basis, N, ti, ti).real for ti in t])
     integrand = np.tan(t / 2.0) ** 2 * vals / (2.0 * math.pi)
     return 2.0 * float(np.sum(w * integrand)) / (N * N)
@@ -271,7 +265,7 @@ def variance_bound_check(param: HPParam, N: int, eps: float):
     if eps <= 0:
         raise DomainError("eps > 0 required")
     k = build_finite_kernel(param, N)
-    xh, wh = _half_window_nodes(eps, panels=10, order=16)
+    xh, wh = _half_window_nodes(eps, N, levels=10, order=16)
     x = np.concatenate([-xh[::-1], xh])
     w = np.concatenate([wh[::-1], wh])
     rho = k.rho1(x)

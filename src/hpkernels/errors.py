@@ -13,10 +13,6 @@ class NonConvergence(RuntimeError):
     """Series or iteration failed to converge within its budget."""
 
 
-class IllConditioned(RuntimeError):
-    """Linear-algebra step lost too much precision to certify the result."""
-
-
 class MomentDivergence(ValueError):
     """Requested moment of the weight does not exist (integral diverges)."""
 

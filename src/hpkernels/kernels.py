@@ -111,13 +111,10 @@ class FiniteKernel:
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xx == 0.0):
             raise DomainError("kernel features are defined on R*")
-        N, s = self.N, self.param.s
+        N = self.N
         t = N * xx
         if self.route == "line_direct":
-            phi = (1.0 + t * t) ** (-0.5 * (s + N))
-            P = self.monic.eval_all(t)[:, :N]
-            scale = np.sqrt(N / self.monic.sq_norms[:N])
-            return P * phi[:, None] * scale[None, :]
+            return self.monic.eval_weighted(t)[:, :N] * math.sqrt(N)
         theta = 2.0 * np.arctan(t)
         lam = eval_circle_weight(
             CircleWeight(self.param, "lambda"), theta, normalized=True
@@ -336,10 +333,9 @@ def eval_V(v: VFunction, x):
         )
     else:
         N = v.N
-        t = N * xx
-        p_top = v.monic.eval_all(t)[:, N - 1]
-        phi_half = (1.0 + t * t) ** (-0.5 * (s + N))
-        out = N ** (1.0 + s) * np.sign(xx) ** N * p_top * phi_half
+        # p_{N-1}(t) sqrt(phi_N(t)) = sqrt(h_{N-1}) times the orthonormal function
+        top = v.monic.eval_weighted(N * xx)[:, N - 1] * math.sqrt(v.monic.sq_norms[N - 1])
+        out = N ** (1.0 + s) * np.sign(xx) ** N * top
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["panel_nodes", "panel_integrate", "de_nodes"]
+__all__ = ["panel_nodes", "graded_nodes", "panel_integrate", "de_nodes"]
 
 
 def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):
@@ -16,6 +18,25 @@ def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     weights = (half[:, None] * gl_w[None, :]).ravel()
     return nodes, weights
+
+
+def graded_nodes(b: float, levels: int, n_nodes: int = 16, density: float = 0.0):
+    """Gauss-Legendre nodes/weights on (0, b], graded dyadically toward 0.
+
+    The pieces [0, b 2^-levels], [b 2^-levels, b 2^(1-levels)], ..., [b/2, b]
+    each get 1 + ceil(density * width) equal panels of n_nodes nodes, so an
+    algebraic endpoint behaviour at 0 and an oscillation of wavelength
+    ~ 1/density are both resolved.
+    """
+    edges = b * 2.0 ** np.arange(-levels, 1.0)
+    xs, ws = [], []
+    lo = 0.0
+    for hi in edges:
+        x, w = panel_nodes(lo, hi, 1 + math.ceil(density * (hi - lo)), n_nodes)
+        xs.append(x)
+        ws.append(w)
+        lo = hi
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 def panel_integrate(f, a: float, b: float, n_panels: int, n_nodes: int = 16) -> float:

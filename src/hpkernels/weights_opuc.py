@@ -2,21 +2,26 @@
 
 Line weight (1+x^2)^{-s-N}; circle weight (2+2cos theta)^s (kind "lambda",
 singular at +-pi) or its rotation (2-2cos theta)^s (kind "w", singular at 0).
-Orthonormal circle polynomials come from an extended-precision Cholesky of
-the Toeplitz matrix of trigonometric moments; monic line polynomials from
-extended-precision Gram-Schmidt on closed-form even moments.
+Both bases are stored as recurrence coefficients and evaluated by
+recurrence in double precision:
+
+- circle: the closed-form Verblunsky coefficients of the circular Jacobi
+  weight, alpha_k = (-1)^k s/(k+s+1) ("lambda") or -s/(k+s+1) ("w"), run
+  through the Szego recursion (Simon, OPUC, 2005; Bourgade-Nikeghbali-
+  Rouault, IMRN 2009);
+- line: the monic pseudo-Jacobi (Romanovski) three-term recurrence
+  p_{k+1} = x p_k - b_k p_{k-1}, b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)),
+  a = s+N.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeError, DomainError, IllConditioned, MomentDivergence
+from .errors import DegreeError, DomainError, MomentDivergence
 from .specfun import gamma_fn
 
 __all__ = [
@@ -35,8 +40,6 @@ __all__ = [
     "build_monic_line",
     "trig_moment",
 ]
-
-DEGREE_CAP = 120
 
 
 @dataclass(frozen=True)
@@ -166,119 +169,75 @@ def trig_moment(param: HPParam, k: int, kind: str = "lambda") -> float:
 class OPUCBasis:
     """Orthonormal polynomials p_0..p_{n-1} for a circle weight.
 
-    coeff[k, j] is the z^j coefficient of p_k (real for real s); lead[k] > 0
-    is the leading coefficient.  gram_residual is the max-norm residual of
-    the orthonormality check carried out in extended precision.
+    alpha holds the Verblunsky coefficients alpha_0..alpha_{n-2} (real for
+    real s); lead[k] = prod_{j<k} 1/rho_j > 0 is the leading coefficient of
+    p_k.  gram_residual is a diagnostic: the max-norm residual of
+    C T C^H - I over the first min(n, 32) degrees, with C their float64
+    coefficients from the recursion and T the Toeplitz matrix of the
+    closed-form trigonometric moments.
     """
 
     param: HPParam
     kind: str
     degree_count: int
-    coeff: np.ndarray
+    alpha: np.ndarray
     lead: np.ndarray
     gram_residual: float
-    coeff_str: tuple = ()
 
     def eval_all(self, z) -> np.ndarray:
         """Evaluate all basis polynomials: returns (len(z), degree_count)."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        n = self.degree_count
-        V = np.empty((zz.size, n), dtype=complex)
-        V[:, 0] = 1.0
-        for j in range(1, n):
-            V[:, j] = V[:, j - 1] * zz
-        return V @ self.coeff.T
-
-    def to_json(self) -> str:
-        payload = {
-            "s": self.param.s,
-            "kind": self.kind,
-            "degree_count": self.degree_count,
-            "coefficients": [list(row) for row in self.coeff_str],
-            "gram_residual": self.gram_residual,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return _szego(self.alpha, zz)[0]
 
 
-_OPUC_CACHE: dict = {}
-_OPUC_LOCK = threading.Lock()
+def _szego(alpha: np.ndarray, z: np.ndarray):
+    """Szego recursion at the points z: returns (P, star) with P[:, k] =
+    p_k(z) for k = 0..len(alpha) and star = p*_{len(alpha)}(z)."""
+    rho = np.sqrt(1.0 - alpha * alpha)
+    P = np.empty((z.size, alpha.size + 1), dtype=complex)
+    P[:, 0] = 1.0
+    star = np.ones(z.size, dtype=complex)
+    for k, (a, r) in enumerate(zip(alpha, rho)):
+        zp = z * P[:, k]
+        P[:, k + 1] = (zp - a * star) / r
+        star = (star - a * zp) / r
+    return P, star
+
+
+def _gram_residual(param: HPParam, kind: str, alpha: np.ndarray) -> float:
+    m = min(alpha.size + 1, 32)
+    # coefficients of p_0..p_{m-1} from their values at the m-th roots of unity
+    P = _szego(alpha[: m - 1], np.exp(2j * np.pi * np.arange(m) / m))[0]
+    C = np.fft.fft(P, axis=0).T / m
+    moments = np.array([trig_moment(param, j, kind) for j in range(m)])
+    idx = np.arange(m)
+    T = moments[np.abs(idx[:, None] - idx[None, :])]
+    return float(np.max(np.abs(C @ T @ C.conj().T - np.eye(m))))
 
 
 def build_opuc(w: CircleWeight, n: int) -> OPUCBasis:
-    """Build p_0..p_{n-1} via extended-precision Cholesky of the Toeplitz
-    moment matrix; raises IllConditioned if the certified Gram residual
-    exceeds 1e-8 and refuses degrees beyond the cap."""
+    """Orthonormal p_0..p_{n-1} from the closed-form Verblunsky coefficients
+    alpha_k = (-1)^k s/(k+s+1) (kind "lambda") or -s/(k+s+1) (kind "w")."""
     s = w.param.s
     if s <= -0.5:
         raise DomainError("build_opuc requires s > -1/2")
-    if n < 1 or n > DEGREE_CAP:
-        raise DomainError(f"degree count must be in [1, {DEGREE_CAP}]")
-    key = (s, w.kind, n)
-    with _OPUC_LOCK:
-        if key in _OPUC_CACHE:
-            return _OPUC_CACHE[key]
-
-    import mpmath as mp
-
-    dps = max(40, 25 + n // 3)
-    with mp.workdps(dps):
-        moments = [mp.mpf(1)]
-        sm = mp.mpf(s)
-        for j in range(1, n):
-            moments.append(moments[-1] * (sm + 1 - j) / (sm + j))
-        if w.kind == "w":
-            moments = [(-1) ** j * m for j, m in enumerate(moments)]
-        G = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                G[i, j] = moments[abs(i - j)]
-        try:
-            L = mp.cholesky(G)
-        except ValueError as exc:
-            raise IllConditioned(f"moment matrix not positive definite: {exc}")
-        # A = L^{-1} row by row (forward substitution against unit vectors)
-        A = mp.zeros(n, n)
-        for i in range(n):
-            for j in range(i + 1):
-                rhs = mp.mpf(1) if i == j else -mp.fsum(
-                    L[i, k] * A[k, j] for k in range(j, i)
-                )
-                A[i, j] = rhs / L[i, i]
-        # certified residual of A G A^T - I
-        resid = mp.mpf(0)
-        AG = A * G
-        for i in range(n):
-            for j in range(i + 1):
-                v = mp.fsum(AG[i, k] * A[j, k] for k in range(j + 1))
-                if i == j:
-                    v -= 1
-                resid = max(resid, abs(v))
-        coeff = np.zeros((n, n))
-        coeff_str = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                coeff[i, j] = float(A[i, j])
-                row.append(mp.nstr(A[i, j], 25))
-            coeff_str.append(tuple(row))
-        gram_residual = float(resid)
-
-    if gram_residual > 1e-8:
-        raise IllConditioned(
-            f"orthonormality residual {gram_residual:.2e} exceeds 1e-8 at n={n}"
-        )
-    basis = OPUCBasis(
+    if n < 1:
+        raise DomainError("degree count must be >= 1")
+    k = np.arange(n - 1)
+    alpha = s / (k + s + 1.0)
+    if w.kind == "lambda":
+        alpha = np.where(k % 2 == 0, alpha, -alpha)
+    else:
+        alpha = -alpha
+    lead = np.concatenate(([1.0], np.cumprod(1.0 / np.sqrt(1.0 - alpha * alpha))))
+    return OPUCBasis(
         param=w.param,
         kind=w.kind,
         degree_count=n,
-        coeff=coeff,
-        lead=np.diag(coeff).copy(),
-        gram_residual=gram_residual,
-        coeff_str=tuple(coeff_str),
+        alpha=alpha,
+        lead=lead,
+        gram_residual=_gram_residual(w.param, w.kind, alpha),
     )
-    with _OPUC_LOCK:
-        _OPUC_CACHE[key] = basis
-    return basis
 
 
 def cd_sum_circle(basis: OPUCBasis, N: int, alpha: float, beta: float) -> complex:
@@ -295,11 +254,6 @@ def cd_sum_circle(basis: OPUCBasis, N: int, alpha: float, beta: float) -> comple
     return complex(math.sqrt(la * lb) * np.sum(pa * np.conj(pb)))
 
 
-def _reversed_poly(coeff_row: np.ndarray, n: int) -> np.ndarray:
-    # q*(z) = z^n conj(q(1/conj z)): reverse and conjugate coefficients 0..n
-    return np.conj(coeff_row[: n + 1][::-1])
-
-
 def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> float:
     """Residual of the Christoffel-Darboux identity
     sum_{k<n} p_k(z) conj(p_k(w)) = (conj(p*_n(w)) p*_n(z) - conj(p_n(w)) p_n(z)) / (1 - z conj(w))
@@ -310,14 +264,9 @@ def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> 
     wz = np.exp(1j * tau)
     if abs(z - wz) < 1e-14:
         raise DomainError("coincident angles: identity denominator vanishes")
-    P = basis.eval_all(np.array([z, wz]))
+    P, star = _szego(basis.alpha[:n], np.array([z, wz]))
     direct = np.sum(P[0, :n] * np.conj(P[1, :n]))
-    rev = _reversed_poly(basis.coeff[n], n)
-    powers_z = z ** np.arange(n + 1)
-    powers_w = wz ** np.arange(n + 1)
-    pstar_z = np.sum(rev * powers_z)
-    pstar_w = np.sum(rev * powers_w)
-    closed = (np.conj(pstar_w) * pstar_z - np.conj(P[1, n]) * P[0, n]) / (
+    closed = (np.conj(star[1]) * star[0] - np.conj(P[1, n]) * P[0, n]) / (
         1.0 - z * np.conj(wz)
     )
     return float(abs(direct - closed))
@@ -361,69 +310,75 @@ def golinskii_envelope(param: HPParam, n: int, theta):
 class MonicLineBasis:
     """Monic orthogonal polynomials for the line weight (1+x^2)^(-s-N).
 
-    Only degrees 0..N-1 are square-integrable against the weight.  coeff is
-    lower-unitriangular (row k holds p_k, low-to-high degree); sq_norms[k]
-    is the squared weight-norm h_k.
+    Only degrees 0..N-1 are square-integrable against the weight.  b[k] is
+    the recurrence coefficient b_k (b[0] = 0); sq_norms[k] is the squared
+    weight-norm h_k = h_0 b_1 ... b_k.
     """
 
     param: HPParam
     N: int
     degree_count: int
-    coeff: np.ndarray
+    b: np.ndarray
     sq_norms: np.ndarray
-    coeff_str: tuple = ()
 
     def eval_all(self, x) -> np.ndarray:
         """Evaluate all polynomials: returns (len(x), degree_count)."""
         xx = np.atleast_1d(np.asarray(x, dtype=float))
-        d = self.degree_count
-        V = np.empty((xx.size, d))
-        V[:, 0] = 1.0
-        for j in range(1, d):
-            V[:, j] = V[:, j - 1] * xx
-        return V @ self.coeff.T
+        P = np.empty((xx.size, self.degree_count))
+        P[:, 0] = 1.0
+        for k in range(1, self.degree_count):
+            P[:, k] = xx * P[:, k - 1]
+            if k > 1:
+                P[:, k] -= self.b[k - 1] * P[:, k - 2]
+        return P
 
-    def to_json(self) -> str:
-        payload = {
-            "s": self.param.s,
-            "N": self.N,
-            "degree_count": self.degree_count,
-            "coefficients": [list(row) for row in self.coeff_str],
-            "sq_norms": [f"{h:.17g}" for h in self.sq_norms],
-        }
-        return json.dumps(payload, sort_keys=True)
+    def eval_weighted(self, t) -> np.ndarray:
+        """Orthonormal functions p_k(t) sqrt(w(t)/h_k), w = (1+t^2)^(-s-N):
+        returns (len(t), degree_count).
 
-
-_MONIC_CACHE: dict = {}
-_MONIC_LOCK = threading.Lock()
-
-
-def line_moment_mp(s, N: int, j: int, mp):
-    """Even moment M_{2j} of (1+x^2)^(-s-N) as a Beta value (mpmath)."""
-    return (
-        mp.gamma(j + mp.mpf(1) / 2)
-        * mp.gamma(mp.mpf(s) + N - j - mp.mpf(1) / 2)
-        / mp.gamma(mp.mpf(s) + N)
-    )
+        The orthonormal recurrence runs on r_k = p_k(t) (1+t^2)^(-k/2)/sqrt(h_k),
+        rescaled by a power of two at every step; the remaining weight power
+        (1+t^2)^((k-s-N)/2) enters per degree.  Nothing overflows or
+        underflows before the final product, even for t = N x at N ~ 1000.
+        """
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        a = self.param.s + self.N
+        half_log = 0.5 * np.log1p(tt * tt)
+        u = tt / np.sqrt(1.0 + tt * tt)
+        c2 = 1.0 / (1.0 + tt * tt)
+        rb = np.sqrt(self.b)
+        out = np.empty((tt.size, self.degree_count))
+        prev = np.zeros_like(tt)
+        cur = np.full_like(tt, 1.0 / math.sqrt(self.sq_norms[0]))
+        expo = np.zeros(tt.shape, dtype=int)
+        out[:, 0] = cur * np.exp(-a * half_log)
+        for k in range(1, self.degree_count):
+            prev, cur = cur, (u * cur - rb[k - 1] * c2 * prev) / rb[k]
+            _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+            prev, cur, expo = np.ldexp(prev, -e), np.ldexp(cur, -e), expo + e
+            out[:, k] = np.ldexp(cur * np.exp((k - a) * half_log), expo)
+        return out
 
 
 def top_sq_norm(s: float, N: int) -> float:
     """Closed form for h_{N-1} = int p_{N-1}^2 (1+x^2)^(-s-N) dx:
-    pi 2^(-2s) Gamma(2s+1) Gamma(2s+2) Gamma(N) / (Gamma(s+1)^2 Gamma(N+1+2s))."""
+    pi 2^(-2s) Gamma(2s+1) Gamma(2s+2) Gamma(N) / (Gamma(s+1)^2 Gamma(N+1+2s)),
+    with the ratio in N taken through log-Gamma (Gamma(N) overflows past 171)."""
     return float(
         math.pi
         * 2.0 ** (-2.0 * s)
         * gamma_fn(2.0 * s + 1.0)
         * gamma_fn(2.0 * s + 2.0)
-        * gamma_fn(float(N))
-        / (gamma_fn(s + 1.0) ** 2 * gamma_fn(N + 1.0 + 2.0 * s))
+        * math.exp(math.lgamma(N) - math.lgamma(N + 1.0 + 2.0 * s))
+        / gamma_fn(s + 1.0) ** 2
     )
 
 
 def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:
-    """Monic orthogonal polynomials by extended-precision Gram-Schmidt on the
-    closed-form even moments; refuses degrees >= N (the moment integrals for
-    the Gram matrix stop existing there)."""
+    """Monic pseudo-Jacobi polynomials p_0..p_{max_degree} from the closed
+    form b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)), a = s+N, and
+    h_0 = sqrt(pi) Gamma(a-1/2)/Gamma(a); refuses degrees >= N, beyond the
+    N-dimensional space the finite kernel projects onto."""
     s = param.s
     if s <= -0.5:
         raise DomainError("build_monic_line requires effective s > -1/2")
@@ -433,66 +388,11 @@ def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:
         )
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
-    key = (s, N, max_degree)
-    with _MONIC_LOCK:
-        if key in _MONIC_CACHE:
-            return _MONIC_CACHE[key]
-
-    import mpmath as mp
-
-    d = max_degree + 1
-    # Hankel moment matrices are exponentially ill-conditioned; scale digits
-    # with the degree so the certified residual stays tiny
-    dps = max(50, 30 + 3 * max_degree)
-    with mp.workdps(dps):
-        M = []
-        for j in range(0, 2 * d):
-            M.append(
-                mp.mpf(0) if j % 2 == 1 else line_moment_mp(s, N, j // 2, mp)
-            )
-
-        def ip(p, q):
-            return mp.fsum(
-                p[i] * q[j] * M[i + j]
-                for i in range(len(p))
-                for j in range(len(q))
-                if p[i] != 0 and q[j] != 0
-            )
-
-        polys = []
-        hs = []
-        for k in range(d):
-            c = [mp.mpf(0)] * k + [mp.mpf(1)]
-            for jj in range(k):
-                pj = polys[jj] + [mp.mpf(0)] * (len(c) - len(polys[jj]))
-                proj = ip(c, polys[jj]) / hs[jj]
-                if proj != 0:
-                    c = [ci - proj * pji for ci, pji in zip(c, pj)]
-            polys.append(c)
-            hs.append(ip(c, c))
-            if hs[-1] <= 0:
-                raise IllConditioned(
-                    f"lost positivity at degree {k} (dps={dps}); raise precision"
-                )
-        coeff = np.zeros((d, d))
-        coeff_str = []
-        for k, c in enumerate(polys):
-            row = []
-            for j in range(d):
-                v = c[j] if j < len(c) else mp.mpf(0)
-                coeff[k, j] = float(v)
-                row.append(mp.nstr(v, 25) if v != 0 else "0")
-            coeff_str.append(tuple(row))
-        sq_norms = np.array([float(h) for h in hs])
-
-    basis = MonicLineBasis(
-        param=param,
-        N=N,
-        degree_count=d,
-        coeff=coeff,
-        sq_norms=sq_norms,
-        coeff_str=tuple(coeff_str),
-    )
-    with _MONIC_LOCK:
-        _MONIC_CACHE[key] = basis
-    return basis
+    a = s + N
+    k = np.arange(1, max_degree + 1)
+    b = np.concatenate(([0.0], k * (2 * a - k) / ((2 * a - 2 * k - 1) * (2 * a - 2 * k + 1))))
+    log_h0 = 0.5 * math.log(math.pi) + math.lgamma(a - 0.5) - math.lgamma(a)
+    # the product h_0 b_1 ... b_k is summed in logs: mid-range h_k drop
+    # below the double-precision range at N ~ 1000 while h_{N-1} does not
+    log_h = log_h0 + np.concatenate(([0.0], np.cumsum(np.log(b[1:]))))
+    return MonicLineBasis(param, N, max_degree + 1, b, np.exp(log_h))

@@ -46,6 +46,28 @@ class TestExitCodes:
     def test_negative_eps_is_two(self):
         assert main(["experiment", "variance", "--eps", "-0.1"]) == 2
 
+    @pytest.mark.parametrize("flag", [["--s", "inf"], ["--s=-inf"], ["--s", "nan"]])
+    def test_non_finite_float_is_two(self, capsys, flag):
+        assert main(["experiment", "gamma2", *flag]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_dash_inf_as_separate_word_is_two(self):
+        # argparse reads "-inf" as an option: a usage error, exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "gamma2", "--s", "-inf"])
+        assert exc.value.code == 2
+
+    def test_opuc_check_beyond_old_degree_cap_is_zero(self, capsys):
+        rc, rep = run(capsys, ["check", "opuc", "--N", "200"])
+        assert rc == 0
+        assert rep["passed"] is True
+
+    def test_sample_beyond_old_degree_cap_is_zero(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        rc, rep = run(capsys, ["sample", "--s", "0", "--N", "130", "--draws", "2"])
+        assert rc == 0
+        assert rep["rows"] == 2
+
 
 class TestRunSpec:
     def test_provenance_sorts_and_skips_plumbing(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpkernels import ergodics
 from hpkernels.ergodics import (
     BalanceReport,
     OmegaPoint,
@@ -27,6 +28,7 @@ from hpkernels.ergodics import (
 )
 from hpkernels.errors import DomainError
 from hpkernels.kernels import build_finite_kernel
+from hpkernels.quadrature import graded_nodes
 from hpkernels.sampling import (
     Configuration,
     SamplerConfig,
@@ -250,6 +252,20 @@ class TestVarianceBound:
     def test_bound_holds(self):
         T, bound = variance_bound_check(HPParam(0.0), 6, 0.3)
         assert 0.0 <= T <= bound
+
+    @pytest.mark.parametrize("N", [6, 64])
+    def test_window_rule_converged(self, N, monkeypatch):
+        # the same identity on a rule with 4x the panels per dyadic piece
+        s, eps = HPParam(0.5), 0.3
+        T, bound = variance_bound_check(s, N, eps)
+
+        def refined(eps, N, levels=12, order=20):
+            return graded_nodes(eps, levels, order, density=2.0 * N)
+
+        monkeypatch.setattr(ergodics, "_half_window_nodes", refined)
+        T_ref, bound_ref = variance_bound_check(s, N, eps)
+        assert abs(T - T_ref) <= 1e-12 * abs(T_ref)
+        assert abs(bound - bound_ref) <= 1e-12 * abs(bound_ref)
 
     def test_first_moment_vanishes(self):
         # evenness kills the window first moment

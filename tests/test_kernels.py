@@ -106,6 +106,16 @@ class TestFiniteKernel:
         Kb = b.kernel_matrix(g, g)
         assert np.max(np.abs(Ka - Kb)) < 1e-12
 
+    @pytest.mark.parametrize("s", [-0.3, 0.3, 1.0])
+    def test_routes_agree_at_large_N(self, s):
+        # t = N x reaches 3000: the line route must neither overflow nor underflow
+        rng = np.random.default_rng(1000)
+        g = rng.uniform(0.1, 3.0, 16) * rng.choice([-1.0, 1.0], 16)
+        Ka = build_finite_kernel(HPParam(s), 1000, "circle_cayley").kernel_matrix(g, g)
+        Kb = build_finite_kernel(HPParam(s), 1000, "line_direct").kernel_matrix(g, g)
+        assert np.all(np.isfinite(Kb))
+        assert np.max(np.abs(Ka - Kb)) < 1e-11 * max(1.0, np.max(np.abs(Ka)))
+
     def test_symmetry_and_evenness(self):
         g = np.linspace(0.1, 3.0, 50)
         g = np.concatenate([-g[::2], g[1::2]])

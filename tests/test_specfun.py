@@ -151,6 +151,12 @@ def test_watson_integral():
         assert abs(got - want) < 1e-8
 
 
+@pytest.mark.parametrize("nu", [0.536, 0.8, 1.3])
+def test_watson_integral_fractional_order(nu):
+    # 2 nu not an integer: J_nu^2/t ~ t^(2 nu - 1) at 0 must be resolved
+    assert abs(jsq_over_t_integral(nu) - 1.0 / (2.0 * nu)) < 1e-8
+
+
 @pytest.mark.parametrize("a,b,z,ref", HYP1F1)
 def test_hyp1f1_reference_points(a, b, z, ref):
     r = float(ref)
