@@ -2,7 +2,7 @@
 
 Library layout:
 
-- ``specfun``      Gamma / Bessel J / 1F1 with explicit accuracy budgets
+- ``specfun``      Gamma and Bessel J over scipy.special, Watson integral
 - ``weights_opuc`` circle and line weights, orthonormal bases on both sides
 - ``kernels``      finite-rank projection kernels, their scaling limit, V
 - ``sampling``     exact projection-DPP, MCMC, and matrix-model samplers

@@ -31,7 +31,6 @@ from .errors import (
     GridTooCoarse,
     MomentDivergence,
     NearSingular,
-    NonConvergence,
     PoleError,
     QuadFailure,
     SingularCayley,
@@ -77,7 +76,6 @@ __all__ = ["RunSpec", "main"]
 _RUNTIME_ERRORS = (
     PoleError,
     DomainError,
-    NonConvergence,
     MomentDivergence,
     DegreeError,
     GridTooCoarse,
@@ -213,6 +211,10 @@ def _merge_runspec(args: argparse.Namespace) -> RunSpec:
                 raise SpecError(f"config key {name}: {e}") from e
         else:
             params[name] = default
+    if command == "check" and params["suite"] in _FIXED_SUITES:
+        given = [n for n in ("s", "N") if getattr(args, n, None) is not None or n in file_kv]
+        if given:
+            raise SpecError(f"suite {params['suite']} takes no {given[0]}")
     return RunSpec(command, params)
 
 
@@ -383,6 +385,8 @@ _SUITES = {
     "kernels": _suite_kernels,
     "infinite": _suite_infinite,
 }
+# suites whose checks run at fixed parameters and read neither s nor N
+_FIXED_SUITES = ("specfun", "infinite")
 
 
 def cmd_check(spec: RunSpec):
@@ -615,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "N": dict(type=int, dest="N"),
             "n": dict(type=int, dest="n"),
             "eps": dict(type=float, dest="eps"),
-            "R": dict(type=float, dest="R"),
             "sigma": dict(type=float, dest="sigma"),
             "sprime": dict(type=float, dest="sprime"),
             "seed": dict(type=int, dest="seed"),

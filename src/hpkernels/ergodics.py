@@ -23,7 +23,7 @@ from .errors import DomainError, PoleError
 from .kernels import FiniteKernel, build_finite_kernel, eval_limit_kernel, LimitKernel
 from .quadrature import graded_nodes, panel_nodes
 from .sampling import Configuration, SamplerConfig, sample_hp_matrix_s0_batch
-from .weights_opuc import CircleWeight, HPParam, build_opuc, cd_sum_circle
+from .weights_opuc import HPParam
 
 __all__ = [
     "OmegaPoint",
@@ -209,10 +209,9 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
     continuum; the two quadratures agree to far better than 1e-6."""
     if eps <= 0:
         raise DomainError("eps > 0 required")
-    basis = build_opuc(CircleWeight(param, "lambda"), N)
     theta_eps = 2.0 * math.atan(N * eps)
     t, w = _half_window_nodes(theta_eps, N)
-    vals = np.array([cd_sum_circle(basis, N, ti, ti).real for ti in t])
+    vals = build_finite_kernel(param, N).rho1_theta(t)
     integrand = np.tan(t / 2.0) ** 2 * vals / (2.0 * math.pi)
     return 2.0 * float(np.sum(w * integrand)) / (N * N)
 

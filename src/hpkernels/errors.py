@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Argument outside the supported domain."""
 
 
-class NonConvergence(RuntimeError):
-    """Series or iteration failed to converge within its budget."""
-
-
 class MomentDivergence(ValueError):
     """Requested moment of the weight does not exist (integral diverges)."""
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -223,7 +224,10 @@ class LimitKernel:
     G(x) = sgn(x) J_{s+1/2}(1/|x|)/sqrt|x|."""
 
     param: HPParam
-    h_diag: float = 1e-5
+    # relative distance |x-y| / max(|x|,|y|) below which an entry is taken
+    # as the diagonal at the midpoint: the difference quotient loses about
+    # -log10(h_diag) digits there, the midpoint value is off by O(h_diag^2)
+    h_diag: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         if self.param.s <= -0.5:
@@ -246,42 +250,44 @@ def _limit_FG(s: float, x: np.ndarray):
     return F, G
 
 
+def _limit_diag(s: float, x: np.ndarray) -> np.ndarray:
+    """K(x, x) = F'(x) G(x) - F(x) G'(x) in closed form.
+
+    With z = 1/|x|, a = J_{s-1/2}(z), b = J_{s+1/2}(z) and
+    J'_nu = (nu/z) J_nu - J_{nu+1}, J'_{nu+1} = J_nu - ((nu+1)/z) J_{nu+1}
+    (DLMF 10.6.2) this is z^2 ((z/2)(a^2 + b^2) - s a b), even in x;
+    at s = 0 it is 1/(pi x^2).
+    """
+    z = 1.0 / np.abs(x)
+    a = _j_general(s - 0.5, z)
+    b = bessel_j(s + 0.5, z)
+    return z * z * (0.5 * z * (a * a + b * b) - s * a * b)
+
+
 def eval_limit_kernel(k: LimitKernel, x: float, y: float) -> float:
-    """(F(x)G(y) - F(y)G(x))/(x - y), with the removable diagonal filled by
-    central differences of F and G (step h_diag, one Richardson sweep)."""
-    if x == 0.0 or y == 0.0:
-        raise DomainError("limit kernel is defined on R*")
-    s = k.param.s
-    if abs(x - y) >= k.h_diag * max(abs(x), abs(y)):
-        F, G = _limit_FG(s, np.array([x, y]))
-        return float((F[0] * G[1] - F[1] * G[0]) / (x - y))
-    m = 0.5 * (x + y)
-    h = k.h_diag * abs(m)
-    pts = np.array([m - 2 * h, m - h, m + h, m + 2 * h, m])
-    F, G = _limit_FG(s, pts)
-    # five-point first derivative: (8(f(+h)-f(-h)) - (f(+2h)-f(-2h)))/(12h)
-    dF = (8.0 * (F[2] - F[1]) - (F[3] - F[0])) / (12.0 * h)
-    dG = (8.0 * (G[2] - G[1]) - (G[3] - G[0])) / (12.0 * h)
-    return float(dF * G[4] - F[4] * dG)
+    """(F(x)G(y) - F(y)G(x))/(x - y); the 1x1 case of limit_kernel_matrix."""
+    return float(limit_kernel_matrix(k, [x], [y])[0, 0])
 
 
 def limit_kernel_matrix(k: LimitKernel, xs, ys) -> np.ndarray:
-    """Kernel on a grid, off-diagonal vectorized, near-diagonal entries via
-    the central-difference path."""
+    """Kernel on a grid: the difference quotient off the diagonal, and the
+    closed-form diagonal at the midpoint for entries with
+    |x - y| < h_diag max(|x|, |y|)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if np.any(xs == 0.0) or np.any(ys == 0.0):
         raise DomainError("limit kernel is defined on R*")
-    Fx, Gx = _limit_FG(k.param.s, xs)
-    Fy, Gy = _limit_FG(k.param.s, ys)
+    s = k.param.s
+    Fx, Gx = _limit_FG(s, xs)
+    Fy, Gy = _limit_FG(s, ys)
     num = Fx[:, None] * Gy[None, :] - Fy[None, :] * Gx[:, None]
     den = xs[:, None] - ys[None, :]
     scale = np.maximum(np.abs(xs)[:, None], np.abs(ys)[None, :])
     near = np.abs(den) < k.h_diag * scale
     out = np.empty_like(num)
     np.divide(num, den, out=out, where=~near)
-    for i, j in zip(*np.nonzero(near)):
-        out[i, j] = eval_limit_kernel(k, float(xs[i]), float(ys[j]))
+    if near.any():
+        out[near] = _limit_diag(s, 0.5 * (xs[:, None] + ys[None, :])[near])
     return out
 
 

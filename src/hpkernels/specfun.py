@@ -1,83 +1,28 @@
-"""Gamma, Bessel J, and confluent hypergeometric functions.
+"""Gamma and Bessel J, and the Watson integral of J_nu(t)^2/t.
 
-Self-contained evaluations (no scipy.special at runtime): Lanczos gamma,
-ascending series in 80-bit extended precision plus Hankel asymptotics for
-J_nu, direct Kummer series with a transform for large negative argument.
-Each branch carries an explicit error budget; see the module tests for the
-measured margins.
+``gamma_fn`` and ``bessel_j`` are thin layers over ``math.gamma`` and
+``scipy.special`` that add the package's domain checks and error types.
+``scipy.special`` is imported on first use rather than with the package:
+importing it about doubles the start-up time of every ``hpk`` command, and
+only the Bessel and complex-Gamma paths need it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, PoleError
 from .quadrature import graded_nodes, panel_nodes
 
 __all__ = [
-    "AccuracyPolicy",
-    "DEFAULT_POLICY",
     "gamma_fn",
     "bessel_j",
-    "hyp1f1",
     "jsq_over_t_integral",
     "jsq_over_t_tail",
 ]
-
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Accuracy knobs shared by the series evaluations."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_terms: int = 10_000
-
-
-DEFAULT_POLICY = AccuracyPolicy()
-
-# pi to more digits than 80-bit extended precision can hold
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-
-# Lanczos approximation, g = 7, 9 coefficients; relative error stays below
-# ~1e-13 away from the poles.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    if z.imag != 0.0:
-        return False
-    r = z.real
-    return r <= 0.0 and r == math.floor(r)
-
-
-def _gamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        s = cmath.sin(cmath.pi * z)
-        if s == 0:
-            raise PoleError(f"gamma pole at z={z}")
-        return cmath.pi / (s * _gamma_complex(1.0 - z))
-    z = z - 1.0
-    x = complex(_LANCZOS_C[0])
-    for i in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
 def gamma_fn(z: complex | float) -> complex | float:
@@ -87,126 +32,35 @@ def gamma_fn(z: complex | float) -> complex | float:
     result exceeds the double range (real z > ~171.6).
     """
     zc = complex(z)
-    if _is_nonpositive_integer(zc):
+    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == math.floor(zc.real):
         raise PoleError(f"gamma pole at z={z}")
-    val = _gamma_complex(zc)
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise OverflowError(f"gamma overflow at z={z}")
     if isinstance(z, complex):
-        return val
-    return val.real
+        from scipy.special import gamma
 
-
-# ---------------------------------------------------------------------------
-# Bessel J
-
-_GAMMA_LD_CACHE: dict[float, np.longdouble] = {}
-
-
-def _gamma_longdouble(x: float) -> np.longdouble:
-    """Gamma(x) rounded to 80-bit extended precision (series prefactors)."""
-    if x not in _GAMMA_LD_CACHE:
-        import mpmath as mp
-
-        with mp.workdps(30):
-            _GAMMA_LD_CACHE[x] = np.longdouble(mp.nstr(mp.gamma(x), 25))
-    return _GAMMA_LD_CACHE[x]
-
-
-def _series_switchover(nu: float) -> float:
-    # The optimally truncated asymptotic expansion has error ~ sqrt(4*pi*x) *
-    # exp(-2x); below x = 16 that exceeds ~2e-13, so the extended-precision
-    # ascending series covers [0, 16) (cancellation there costs ~6 digits of
-    # the 19 available).  The linear ramp keeps large orders on the series
-    # side until the asymptotic terms start decaying promptly.
-    return max(16.0, 1.2 * nu + 4.0)
-
-
-def _bessel_series(nu: float, x: np.ndarray, pol: AccuracyPolicy) -> np.ndarray:
-    xl = x.astype(np.longdouble)
-    q = -(xl * xl) / np.longdouble(4.0)
-    nul = np.longdouble(nu)
-    term = np.ones_like(xl)
-    acc = term.copy()
-    for k in range(1, pol.max_terms + 1):
-        # denominator formed in extended precision: double rounding here
-        # compounds across terms and costs ~3 digits near the switchover
-        term = term * q / (np.longdouble(k) * (nul + np.longdouble(k)))
-        acc = acc + term
-        if np.max(np.abs(term)) < 1e-22 * max(float(np.max(np.abs(acc))), 1.0):
-            break
+        val = complex(gamma(zc))
     else:
-        raise NonConvergence("bessel_j series did not converge within max_terms")
-    pref = np.exp(np.longdouble(nu) * np.log(xl / np.longdouble(2.0)))
-    pref = pref / _gamma_longdouble(nu + 1.0)
-    return np.asarray(pref * acc, dtype=float)
+        try:
+            val = math.gamma(zc.real)
+        except OverflowError:
+            val = math.inf
+    if not cmath.isfinite(val):
+        raise OverflowError(f"gamma overflow at z={z}")
+    return val
 
 
-def _bessel_hankel(nu: float, x: np.ndarray) -> np.ndarray:
-    xl = x.astype(np.longdouble)
-    mu = np.longdouble(4.0 * nu * nu)
-    xmin = np.longdouble(float(np.min(x)))
-
-    # a_m coefficients; truncate at the globally smallest term (evaluated at
-    # the smallest x in the batch).  Half-integer orders terminate exactly.
-    coeffs = []
-    a = np.longdouble(1.0)
-    mags = []
-    terminated = False
-    for m in range(1, 41):
-        a = a * (mu - np.longdouble((2 * m - 1) ** 2)) / np.longdouble(8.0 * m)
-        if a == 0.0:
-            terminated = True  # half-integer order: expansion is exact
-            break
-        coeffs.append(a)
-        mags.append(abs(float(a / xmin**m)))
-    if terminated or not mags:
-        m_stop = len(coeffs)
-    else:
-        m_stop = int(np.argmin(mags)) + 1
-        if mags[m_stop - 1] > 1e-10:
-            raise NonConvergence(
-                f"asymptotic expansion cannot reach tolerance at nu={nu}, x={float(xmin)}"
-            )
-
-    inv = np.longdouble(1.0) / xl
-    P = np.ones_like(xl)
-    Q = np.zeros_like(xl)
-    pw = inv.copy()
-    for m in range(1, m_stop + 1):
-        c = coeffs[m - 1] * pw
-        if m % 2 == 1:
-            sgn = -1.0 if ((m - 1) // 2) % 2 else 1.0
-            Q = Q + np.longdouble(sgn) * c
-        else:
-            sgn = -1.0 if (m // 2) % 2 else 1.0
-            P = P + np.longdouble(sgn) * c
-        pw = pw * inv
-    chi = xl - (np.longdouble(nu) / 2 + np.longdouble(0.25)) * _PI_LD
-    amp = np.sqrt(np.longdouble(2.0) / (_PI_LD * xl))
-    val = amp * (np.cos(chi) * P - np.sin(chi) * Q)
-    return np.asarray(val, dtype=float)
-
-
-def bessel_j(nu: float, x, policy: AccuracyPolicy | None = None):
+def bessel_j(nu: float, x):
     """Bessel function of the first kind, order nu >= -1/2, argument x > 0.
 
     Accepts scalar or array x; returns matching shape.
     """
-    pol = policy or DEFAULT_POLICY
     if nu < -0.5:
         raise DomainError(f"bessel_j requires nu >= -1/2, got {nu}")
     xx = np.asarray(x, dtype=float)
     if xx.size and np.min(xx) <= 0.0:
         raise DomainError("bessel_j requires x > 0")
-    out = np.empty(xx.shape)
-    cut = _series_switchover(nu)
-    small = xx < cut
-    if small.any():
-        out[small] = _bessel_series(nu, xx[small], pol)
-    large = ~small
-    if large.any():
-        out[large] = _bessel_hankel(nu, xx[large])
+    from scipy.special import jv
+
+    out = jv(nu, xx)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -229,7 +83,6 @@ def jsq_over_t_integral(
     nu: float,
     T: float = 2000.0,
     nodes_per_panel: int = 16,
-    policy: AccuracyPolicy | None = None,
 ) -> float:
     """Integral of J_nu(t)^2 / t over (0, infinity), for nu >= 1/2.
 
@@ -247,48 +100,6 @@ def jsq_over_t_integral(
     x0, w0 = graded_nodes(h, 40, nodes_per_panel)
     x1, w1 = panel_nodes(h, T, n_panels - 1, nodes_per_panel)
     nodes, weights = np.concatenate((x0, x1)), np.concatenate((w0, w1))
-    jv = bessel_j(nu, nodes, policy)
+    jv = bessel_j(nu, nodes)
     main = float(np.sum(weights * jv * jv / nodes))
     return main + jsq_over_t_tail(nu, T)
-
-
-# ---------------------------------------------------------------------------
-# Confluent hypergeometric 1F1
-
-
-def _hyp1f1_series(a: complex, b: complex, z: complex, pol: AccuracyPolicy) -> complex:
-    term = complex(1.0)
-    acc = complex(1.0)
-    hits = 0
-    for k in range(pol.max_terms):
-        term = term * (a + k) / (b + k) * z / (k + 1)
-        acc += term
-        if abs(term) <= pol.rel_tol * abs(acc) + pol.abs_tol:
-            hits += 1
-            if hits >= 2 or term == 0:
-                return acc
-        else:
-            hits = 0
-    raise NonConvergence(
-        f"hyp1f1 series did not converge within {pol.max_terms} terms at z={z}"
-    )
-
-
-def hyp1f1(a, b, z, policy: AccuracyPolicy | None = None):
-    """Kummer confluent hypergeometric function M(a; b; z).
-
-    Direct series; for Re z < -30 the reflection M(a;b;z) =
-    e^z M(b-a;b;-z) avoids catastrophic cancellation.
-    """
-    pol = policy or DEFAULT_POLICY
-    bc = complex(b)
-    if _is_nonpositive_integer(bc):
-        raise PoleError(f"hyp1f1 pole: b={b} is a non-positive integer")
-    ac, zc = complex(a), complex(z)
-    if zc.real < -30.0:
-        val = cmath.exp(zc) * _hyp1f1_series(bc - ac, bc, -zc, pol)
-    else:
-        val = _hyp1f1_series(ac, bc, zc, pol)
-    if any(isinstance(v, complex) for v in (a, b, z)):
-        return val
-    return val.real

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegreeError, DomainError, MomentDivergence
-from .specfun import gamma_fn
 
 __all__ = [
     "HPParam",
@@ -83,7 +82,8 @@ class CircleWeight:
     def normalization(self) -> float:
         """Constant c_s with c_s * integral of the weight d theta/2pi = 1."""
         s = self.param.s
-        return gamma_fn(s + 1.0) ** 2 / gamma_fn(2.0 * s + 1.0)
+        # Gamma(s+1)^2 / Gamma(2s+1) in logs: the factors overflow past s ~ 85
+        return math.exp(2.0 * math.lgamma(s + 1.0) - math.lgamma(2.0 * s + 1.0))
 
 
 def eval_line_weight(param: HPParam, N: int, x) -> float | np.ndarray:
@@ -363,14 +363,14 @@ class MonicLineBasis:
 def top_sq_norm(s: float, N: int) -> float:
     """Closed form for h_{N-1} = int p_{N-1}^2 (1+x^2)^(-s-N) dx:
     pi 2^(-2s) Gamma(2s+1) Gamma(2s+2) Gamma(N) / (Gamma(s+1)^2 Gamma(N+1+2s)),
-    with the ratio in N taken through log-Gamma (Gamma(N) overflows past 171)."""
-    return float(
-        math.pi
-        * 2.0 ** (-2.0 * s)
-        * gamma_fn(2.0 * s + 1.0)
-        * gamma_fn(2.0 * s + 2.0)
-        * math.exp(math.lgamma(N) - math.lgamma(N + 1.0 + 2.0 * s))
-        / gamma_fn(s + 1.0) ** 2
+    with every Gamma taken through log-Gamma (each overflows past 171)."""
+    return math.pi * math.exp(
+        -2.0 * s * math.log(2.0)
+        + math.lgamma(2.0 * s + 1.0)
+        + math.lgamma(2.0 * s + 2.0)
+        - 2.0 * math.lgamma(s + 1.0)
+        + math.lgamma(N)
+        - math.lgamma(N + 1.0 + 2.0 * s)
     )
 
 

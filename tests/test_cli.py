@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hpkernels
 from hpkernels.cli import RunSpec, main
 from hpkernels.sampling import read_sample_archive
 
@@ -67,6 +70,45 @@ class TestExitCodes:
         rc, rep = run(capsys, ["sample", "--s", "0", "--N", "130", "--draws", "2"])
         assert rc == 0
         assert rep["rows"] == 2
+
+    @pytest.mark.parametrize("s", ["100", "200"])
+    def test_gamma2_at_large_s_is_zero(self, capsys, s):
+        # Gamma(s+1)^2/Gamma(2s+1) and h_{N-1} are formed in logs
+        rc, rep = run(capsys, ["experiment", "gamma2", "--s", s])
+        assert rc == 0
+        assert rep["passed"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "specfun", "--s", "0.5"],
+        ["check", "specfun", "--N", "8"],
+        ["check", "infinite", "--s", "0"],
+        ["check", "infinite", "--N", "12"],
+    ])
+    def test_fixed_suite_rejects_parameters(self, capsys, argv):
+        assert main(argv) == 2
+        assert "takes no" in capsys.readouterr().err
+
+    def test_fixed_suite_rejects_parameters_from_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("s = 0.5\n")
+        assert main(["check", "specfun", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "specfun"], ["table", "weight"], ["sample"],
+        ["experiment", "tails"],
+    ])
+    def test_no_command_takes_R(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--R", "5"])
+        assert exc.value.code == 2
+
+    def test_import_loads_neither_scipy_special_nor_mpmath(self):
+        src = os.path.dirname(os.path.dirname(hpkernels.__file__))
+        code = ("import sys, hpkernels.cli; "
+                "assert 'scipy.special' not in sys.modules; "
+                "assert 'mpmath' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestRunSpec:

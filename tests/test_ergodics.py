@@ -35,7 +35,7 @@ from hpkernels.sampling import (
     sample_hp_matrix_s0,
     sample_projection_dpp_batch,
 )
-from hpkernels.weights_opuc import HPParam
+from hpkernels.weights_opuc import CircleWeight, HPParam, build_opuc, cd_sum_circle
 
 
 def make_omega(plus, minus, extra_mass=0.0, gamma1=0.0):
@@ -189,6 +189,15 @@ class TestSecondMoment:
             b = circle_moment_JN(HPParam(s), N, eps)
             assert abs(a - b) < 1e-6
             assert a >= 0.0
+
+    def test_circle_moment_matches_pointwise_cd_sums(self):
+        # reference: the circle density node by node through cd_sum_circle
+        for s, N, eps in [(0.5, 6, 0.3), (-0.3, 10, 0.1)]:
+            basis = build_opuc(CircleWeight(HPParam(s), "lambda"), N)
+            t, w = ergodics._half_window_nodes(2.0 * math.atan(N * eps), N)
+            vals = np.array([cd_sum_circle(basis, N, ti, ti).real for ti in t])
+            ref = 2.0 * float(np.sum(w * np.tan(t / 2.0) ** 2 * vals / (2.0 * math.pi)))
+            assert circle_moment_JN(HPParam(s), N, eps) == ref / (N * N)
 
     def test_uniform_ratio_window(self):
         # sup_N of value/eps: stable within 3x once N*eps is order one

@@ -8,6 +8,7 @@ Bessel evaluation, and the diagonal through the analytic derivative.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,41 @@ class TestLimitKernel:
         for x in np.linspace(0.5, 3.0, 20):
             got = eval_limit_kernel(k, float(x), float(x))
             assert abs(got - 1.0 / (math.pi * x * x)) < 1e-10
+
+    def test_s0_diagonal_closed_form_to_roundoff(self):
+        # the closed-form diagonal, down to x = 0.05 (Bessel argument 20)
+        k = LimitKernel(HPParam(0.0))
+        for x in np.linspace(0.05, 3.0, 60):
+            got = eval_limit_kernel(k, float(x), float(x))
+            assert got == pytest.approx(1.0 / (math.pi * x * x), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [-0.3, 0.7])
+    def test_diagonal_matches_mpmath_derivative(self, s):
+        # K(x, x) = F'G - FG', differentiated numerically at 40 digits
+        k = LimitKernel(HPParam(s))
+
+        def F(t):
+            return mpmath.besselj(s - 0.5, 1 / t) / (2 * mpmath.sqrt(t))
+
+        def G(t):
+            return mpmath.besselj(s + 0.5, 1 / t) / mpmath.sqrt(t)
+
+        with mpmath.workdps(40):
+            for x in (0.05, 0.13, 0.4, 0.9, 1.7, 3.0):
+                t = mpmath.mpf(x)
+                ref = float(mpmath.diff(F, t) * G(t) - F(t) * mpmath.diff(G, t))
+                assert eval_limit_kernel(k, x, x) == pytest.approx(ref, rel=1e-12)
+                assert eval_limit_kernel(k, -x, -x) == pytest.approx(ref, rel=1e-12)
+
+    def test_near_diagonal_matrix_entries_equal_scalar(self):
+        k = LimitKernel(HPParam(0.7))
+        xs = np.array([0.6, 0.6 * (1 + 4e-6), 1.3, 1.3 + 2e-9, -2.2, -2.2 * (1 - 9e-6)])
+        M = limit_kernel_matrix(k, xs, xs)
+        near = np.abs(xs[:, None] - xs[None, :]) < k.h_diag * np.maximum(
+            np.abs(xs)[:, None], np.abs(xs)[None, :])
+        assert np.count_nonzero(near & ~np.eye(xs.size, dtype=bool)) == 6
+        for i, j in zip(*np.nonzero(near)):
+            assert M[i, j] == eval_limit_kernel(k, float(xs[i]), float(xs[j]))
 
     def test_sine_kernel_transport(self):
         # after the gauge with sgn(xy), the s=0 kernel matches the

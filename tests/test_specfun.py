@@ -1,4 +1,5 @@
-"""Gamma / Bessel / 1F1 accuracy against frozen 32-digit reference values.
+"""Gamma / Bessel accuracy against frozen 32-digit reference values and
+an mpmath oracle.
 
 References were generated offline with an arbitrary-precision package at
 35 working digits (ascending series summed exactly, Gamma via its internal
@@ -7,19 +8,14 @@ high-precision routine) and frozen here as strings.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpkernels.errors import DomainError, NonConvergence, PoleError
-from hpkernels.specfun import (
-    AccuracyPolicy,
-    bessel_j,
-    gamma_fn,
-    hyp1f1,
-    jsq_over_t_integral,
-)
+from hpkernels.errors import DomainError, PoleError
+from hpkernels.specfun import bessel_j, gamma_fn, jsq_over_t_integral
 
 GAMMA_REAL = [
     (0.3, "2.9915689876875906283125165159049"),
@@ -48,14 +44,6 @@ BESSEL = [
     (2.3, 5.5, "0.0045031453123487382013370184011433"),
     (-0.5, 3.3, "-0.43372184717936259413938523280729"),
     (3.5, 20.0, "0.02151781813134124896424042055698"),
-]
-
-HYP1F1 = [
-    (0.3, 1.7, 5.5, "9.321801123975294016235620544748"),
-    (1.2, 2.5, -8.0, "0.1158977810678214524820563868695"),
-    (2.0, 3.0, 25.0, "5529976269.1144350098555917925985"),
-    (0.5, 1.5, -50.0, "0.12533141373155002512078635422665"),
-    (-2.0, 1.3, 4.0, "0.19732441471571906354515050167224"),
 ]
 
 
@@ -105,7 +93,7 @@ def test_bessel_domain_errors():
 
 
 def test_bessel_half_order_closed_forms():
-    # both evaluation branches: series on [0.1, 16), asymptotic on [16, 50]
+    # small and large arguments alike, on [0.1, 50]
     xs = np.linspace(0.1, 50.0, 997)
     amp = np.sqrt(2.0 / (np.pi * xs))
     assert np.max(np.abs(bessel_j(0.5, xs) - amp * np.sin(xs))) < 1e-12
@@ -134,13 +122,15 @@ def test_bessel_three_term_recurrence(nu, x):
     assert abs(lhs - rhs) <= 1e-11 * scale
 
 
-def test_bessel_via_1f1():
-    # J_nu(x) = (x/2)^nu e^{-ix} 1F1(nu+1/2; 2nu+1; 2ix) / Gamma(nu+1)
-    for nu, x in [(0.3, 1.7), (1.0, 4.2), (2.3, 0.9)]:
-        m = hyp1f1(nu + 0.5, 2.0 * nu + 1.0, 2.0j * x)
-        val = (x / 2.0) ** nu * np.exp(-1.0j * x) * m / gamma_fn(nu + 1.0)
-        assert abs(val.imag) < 1e-12
-        assert abs(val.real - bessel_j(nu, x)) < 1e-12
+@settings(max_examples=200, deadline=None)
+@given(
+    nu=st.floats(min_value=-0.5, max_value=2.3),
+    x=st.floats(min_value=0.01, max_value=200.0),
+)
+def test_bessel_matches_mpmath_oracle(nu, x):
+    with mpmath.workdps(30):
+        ref = float(mpmath.besselj(nu, x))
+    assert abs(bessel_j(nu, x) - ref) <= 1e-13
 
 
 def test_watson_integral():
@@ -155,32 +145,3 @@ def test_watson_integral():
 def test_watson_integral_fractional_order(nu):
     # 2 nu not an integer: J_nu^2/t ~ t^(2 nu - 1) at 0 must be resolved
     assert abs(jsq_over_t_integral(nu) - 1.0 / (2.0 * nu)) < 1e-8
-
-
-@pytest.mark.parametrize("a,b,z,ref", HYP1F1)
-def test_hyp1f1_reference_points(a, b, z, ref):
-    r = float(ref)
-    assert abs(hyp1f1(a, b, z) - r) <= 1e-11 * abs(r)
-
-
-def test_hyp1f1_complex_point():
-    ref = complex(
-        float("0.70954832814263289531082001669297"),
-        float("0.50618164908243717799927329968043"),
-    )
-    assert abs(hyp1f1(0.7, 2.2, 2.0j) - ref) <= 1e-12 * abs(ref)
-
-
-def test_hyp1f1_kummer_identity():
-    # both sides evaluated by direct series (|z| below the transform cutoff)
-    for a, b, z in [(0.3, 1.7, 5.5), (1.2, 2.5, -8.0), (0.8, 1.9, 12.0)]:
-        lhs = hyp1f1(a, b, z)
-        rhs = math.exp(z) * hyp1f1(b - a, b, -z)
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-
-
-def test_hyp1f1_pole_and_budget():
-    with pytest.raises(PoleError):
-        hyp1f1(0.5, -2.0, 1.0)
-    with pytest.raises(NonConvergence):
-        hyp1f1(0.5, 1.5, 40.0, policy=AccuracyPolicy(max_terms=5))
