@@ -237,6 +237,15 @@ def _require(cond: bool, msg: str) -> None:
         raise SpecError(msg)
 
 
+# the circle weight (2 + 2 cos theta)^s peaks at 4^s, which overflows a
+# double from s = 512 on
+_S_MAX = 512.0
+
+
+def _require_s(p: dict, what: str) -> None:
+    _require(-0.5 < p["s"] < _S_MAX, f"{what} requires -1/2 < s < {_S_MAX:g}")
+
+
 def _validate(spec: RunSpec) -> None:
     p = spec.params
     for name, (cast, _) in _PARAMS[spec.command].items():
@@ -245,16 +254,16 @@ def _validate(spec: RunSpec) -> None:
     _require(p["jobs"] >= 1, "jobs >= 1 required")
     if spec.command == "check":
         if p["suite"] in ("kernels", "opuc"):
-            _require(p["s"] > -0.5, f"suite {p['suite']} requires s > -1/2")
+            _require_s(p, f"suite {p['suite']}")
             _require(p["N"] >= 2, "N >= 2 required")
     elif spec.command == "table":
-        _require(p["s"] > -0.5, "table requires s > -1/2")
+        _require_s(p, "table")
         _require(p["N"] >= 1, "N >= 1 required")
         _require(p["n"] >= 1, "n >= 1 required")
         _parse_grid(p["grid"])
     elif spec.command == "sample":
         if p["replay"] is None:
-            _require(p["s"] > -0.5, "sampling requires s > -1/2")
+            _require_s(p, "sampling")
             _require(p["N"] >= 1, "N >= 1 required")
             _require(p["method"] in ("spectral", "spectral_dpp", "mcmc"),
                      f"unknown method {p['method']!r}")
@@ -267,7 +276,7 @@ def _validate(spec: RunSpec) -> None:
     elif spec.command == "experiment":
         name = p["name"]
         if name in ("gamma2", "tails", "variance"):
-            _require(p["s"] > -0.5, f"experiment {name} requires s > -1/2")
+            _require_s(p, f"experiment {name}")
         if name in ("gamma2", "variance"):
             _require(p["eps"] > 0, "eps > 0 required")
         if name == "contraction":

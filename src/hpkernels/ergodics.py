@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .kernels import FiniteKernel, build_finite_kernel, eval_limit_kernel, LimitKernel
+from .kernels import FiniteKernel, LimitKernel, _limit_diag, build_finite_kernel
 from .quadrature import graded_nodes, panel_nodes
 from .sampling import Configuration, SamplerConfig, sample_hp_matrix_s0_batch
 from .weights_opuc import HPParam
@@ -241,17 +241,16 @@ def limit_tail_mass(param: HPParam, R: float, growth: float = 2.0,
     """Same tail integral for the scaling-limit kernel diagonal."""
     if R <= 0:
         raise DomainError("R > 0 required")
-    lk = LimitKernel(param)
+    LimitKernel(param)  # DomainError unless s > -1/2
+    s = param.s
     total = 0.0
     lo = R
     for _ in range(panels):
         hi = lo * growth
         x, w = panel_nodes(lo, hi, 20)
-        vals = np.array([eval_limit_kernel(lk, xi, xi) for xi in x])
-        total += float(np.sum(w * vals))
+        total += float(np.sum(w * _limit_diag(s, x)))
         lo = hi
-    s = param.s
-    tail = lo * eval_limit_kernel(lk, lo, lo) / (1.0 + 2.0 * s)
+    tail = lo * float(_limit_diag(s, np.array([lo]))[0]) / (1.0 + 2.0 * s)
     return 2.0 * (total + tail)
 
 

@@ -313,18 +313,31 @@ def damped_dpp_diagonal(param: HPParam, sigma: float, grid: DampedGrid,
     return np.diagonal(dp.matrix) / dp.grid.weights
 
 
-def sample_damped_dpp(dp: DampedProjectionGrid, seed: int, n_draws: int) -> np.ndarray:
-    """Exact draws of the rank-(m+n_s) damped process on the grid:
-    eigen-decomposition of the projection matrix feeds the same sequential
-    conditioning used for the finite-N samplers."""
-    lam, V = np.linalg.eigh(dp.matrix)
+def _range_basis(dp: DampedProjectionGrid) -> np.ndarray:
+    """Orthonormal columns Q with Q Q^T = P for the rank-r projection P.
+
+    Rayleigh-Ritz on a range sketch: Y = qr(P G) for a Gaussian G of width
+    r (fixed key, so Q depends only on P), then Q = Y W with W the
+    eigenvectors of Y^T P Y.  O(n^2 r) instead of a dense n x n eigh.  The
+    Ritz values are P's eigenvalues on its range, all 1 for a projection;
+    NearSingular if any is below 1/2.
+    """
+    P = dp.matrix
     r = dp.rank
-    top = lam[-r:]
-    if np.any(top < 0.5):
+    G = np.random.Generator(np.random.Philox(key=0)).standard_normal((len(P), r))
+    Y, _ = np.linalg.qr(P @ G)
+    lam, W = np.linalg.eigh(Y.T @ P @ Y)
+    if np.any(lam < 0.5):
         raise NearSingular("projection eigenvalues drifted from 1")
-    Q = np.ascontiguousarray(V[:, -r:])
+    return Y @ W
+
+
+def sample_damped_dpp(dp: DampedProjectionGrid, seed: int, n_draws: int) -> np.ndarray:
+    """Exact draws of the rank-(m+n_s) damped process on the grid: an
+    orthonormal basis of the projection's range feeds the same sequential
+    conditioning used for the finite-N samplers."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return sequential_projection_draws(Q, dp.grid.nodes, rng, n_draws)
+    return sequential_projection_draws(_range_basis(dp), dp.grid.nodes, rng, n_draws)
 
 
 # ---------------------------------------------------------------------------

@@ -144,42 +144,70 @@ def _prepare_grid(k: FiniteKernel, cfg: SamplerConfig):
     return x, np.ascontiguousarray(Q)
 
 
+# bytes the per-chunk arrays of sequential_projection_draws may take
+_CHUNK_BYTES = 1 << 23
+
+
+def _draw_bytes(M: int, N: int, itemsize: int) -> int:
+    """Per-chunk bytes one draw adds: its M-long residuals, cumulative
+    sums, product row, |product| and |product|^2 and comparison mask, and
+    its N x N orthonormal vectors."""
+    return M * (40 + itemsize) + N * N * itemsize
+
+
 def sequential_projection_draws(
     Q: np.ndarray, x: np.ndarray, rng: np.random.Generator, n_draws: int
 ) -> np.ndarray:
     """Exact draws from the discrete projection DPP of the orthonormal
-    feature rows Q (grid size, rank): (n_draws, rank) sorted positions."""
-    N = Q.shape[1]
-    out = np.empty((n_draws, N))
-    if N == 1:
-        # rank one is plain density sampling; draw all at once
-        p = np.abs(Q[:, 0]) ** 2
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        idx = np.searchsorted(cdf, rng.random(n_draws))
-        out[:, 0] = x[idx]
-        return out
-    for d in range(n_draws):
-        A = Q.copy()
-        p = np.einsum("ij,ij->i", A, A.conj()).real
-        picks = np.empty(N, dtype=np.int64)
-        for step in range(N):
-            p = np.maximum(p, 0.0)
-            cdf = np.cumsum(p)
-            i = int(np.searchsorted(cdf, rng.random() * cdf[-1]))
-            i = min(i, len(x) - 1)
-            picks[step] = i
-            p[i] = 0.0
-            if step == N - 1:
-                break
-            v = A[i].conj()
-            v = v / np.linalg.norm(v)
-            c = A @ v
-            A -= np.outer(c, v.conj())
-            p -= np.abs(c) ** 2
-            p[picks[: step + 1]] = 0.0
-        out[d] = np.sort(x[picks])
-    return out
+    feature rows Q (grid size M, rank N): (n_draws, N) sorted positions.
+
+    The chain rule of Hough-Krishnapur-Peres-Virag in Gram-Schmidt form:
+    each draw picks row i with probability proportional to its residual
+    |Q[i]|^2 - sum_k |Q[i] . w_k|^2, where w_1, w_2, ... are its earlier
+    picks conj(Q[i]) made orthonormal (classical Gram-Schmidt, applied
+    twice).  Draws run in chunks; each step orthonormalizes the chunk's
+    picks at O(N step) per draw and updates all residuals with one
+    (chunk, N) @ (N, M) product, so the total stays O(n_draws M N^2) but
+    runs in BLAS-3.  A chunk holds as many draws as fit in _CHUNK_BYTES
+    (8 MiB; _draw_bytes counts each draw's M-long arrays and its N x N
+    vectors), at least one.  The first step is the same for every draw and
+    uses one shared cumulative sum.
+
+    The uniforms are rng.random((n_draws, N)), the same stream as one
+    scalar rng.random() per step draw after draw; the rule per step is
+    unchanged (clamp at 0, cumulative sum, first index with
+    cdf >= u cdf[-1], capped at M - 1), so the draws are those of the
+    one-draw-at-a-time rank-one update of Q.
+    """
+    M, N = Q.shape
+    u = rng.random((n_draws, N))
+    row_p = np.einsum("ij,ij->i", Q, Q.conj()).real
+    cdf = np.cumsum(np.maximum(row_p, 0.0))
+    picks = np.empty((n_draws, N), dtype=np.int64)
+    picks[:, 0] = np.minimum(np.searchsorted(cdf, u[:, 0] * cdf[-1]), M - 1)
+    B = max(1, _CHUNK_BYTES // _draw_bytes(M, N, Q.itemsize))
+    for start in range(0, n_draws, B):
+        U = u[start:start + B]
+        chunk = picks[start:start + B]
+        rows = np.arange(len(U))
+        W = np.empty((len(U), N - 1, N), dtype=Q.dtype)
+        p = row_p
+        for step in range(1, N):
+            i = chunk[:, step - 1]
+            v = Q[i].conj()
+            Wk = W[:, :step - 1]
+            for _ in range(2):
+                h = np.einsum("bkn,bn->bk", Wk, v.conj()).conj()
+                v -= np.einsum("bk,bkn->bn", h, Wk)
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            W[:, step - 1] = v
+            p = p - np.abs(v @ Q.T) ** 2
+            p[rows, i] = 0.0
+            np.maximum(p, 0.0, out=p)
+            cdf = np.cumsum(p, axis=1)
+            below = cdf < (U[:, step] * cdf[:, -1])[:, None]
+            chunk[:, step] = np.minimum(np.count_nonzero(below, axis=1), M - 1)
+    return np.sort(x[picks], axis=1)
 
 
 def sample_projection_dpp_batch(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,35 @@ class TestExitCodes:
         rc, rep = run(capsys, ["experiment", "gamma2", "--s", s])
         assert rc == 0
         assert rep["passed"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "gamma2", "--s", "1e300"],
+        ["experiment", "gamma2", "--s", "512"],
+        ["sample", "--s", "600", "--N", "4", "--draws", "2"],
+    ])
+    def test_s_beyond_weight_range_is_two(self, capsys, argv):
+        # the circle weight peaks at 4^s, which overflows a double from s = 512
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s < 512" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "specfun"], 0),
+        (["experiment", "gamma2", "--s", "1e300"], 2),
+    ])
+    def test_python_m_hpkernels_exit_codes(self, argv, code):
+        src = os.path.dirname(os.path.dirname(hpkernels.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        r = subprocess.run([sys.executable, "-m", "hpkernels", *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr
+        if code == 0:
+            assert json.loads(r.stdout)["passed"] is True
 
     @pytest.mark.parametrize("argv", [
         ["check", "specfun", "--s", "0.5"],

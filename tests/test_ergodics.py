@@ -27,8 +27,8 @@ from hpkernels.ergodics import (
     write_experiment_json,
 )
 from hpkernels.errors import DomainError
-from hpkernels.kernels import build_finite_kernel
-from hpkernels.quadrature import graded_nodes
+from hpkernels.kernels import LimitKernel, build_finite_kernel, eval_limit_kernel
+from hpkernels.quadrature import graded_nodes, panel_nodes
 from hpkernels.sampling import (
     Configuration,
     SamplerConfig,
@@ -252,9 +252,25 @@ class TestTailMass:
         assert abs(v - 2.0 / (5.0 * math.pi)) < 1e-6
         assert 0.0 < limit_tail_mass(HPParam(0.5), 3.0) < math.inf
 
+    @pytest.mark.parametrize("s", [0.0, 0.7])
+    def test_limit_tail_matches_pointwise_kernel(self, s):
+        # the same quadrature with one eval_limit_kernel call per node
+        lk = LimitKernel(HPParam(s))
+        total, lo = 0.0, 5.0
+        for _ in range(14):
+            x, w = panel_nodes(lo, 2.0 * lo, 20)
+            total += float(np.sum(w * np.array([eval_limit_kernel(lk, t, t) for t in x])))
+            lo *= 2.0
+        tail = lo * eval_limit_kernel(lk, lo, lo) / (1.0 + 2.0 * s)
+        assert limit_tail_mass(HPParam(s), 5.0) == 2.0 * (total + tail)
+
     def test_bad_R(self):
         with pytest.raises(DomainError):
             tail_mass(HPParam(0.0), 5, -1.0)
+
+    def test_limit_tail_bad_parameter(self):
+        with pytest.raises(DomainError):
+            limit_tail_mass(HPParam(-0.5), 5.0)
 
 
 class TestVarianceBound:

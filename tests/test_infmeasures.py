@@ -13,6 +13,7 @@ from hpkernels.infmeasures import (
     DampedProjectionGrid,
     VBasis,
     _kernel_eigenbasis,
+    _range_basis,
     contraction_norm,
     damped_dpp_diagonal,
     damped_projection,
@@ -28,7 +29,7 @@ from hpkernels.infmeasures import (
 )
 from hpkernels.kernels import build_finite_kernel
 from hpkernels.quadrature import panel_nodes
-from hpkernels.sampling import Configuration
+from hpkernels.sampling import Configuration, sequential_projection_draws
 from hpkernels.weights_opuc import HPParam
 
 
@@ -329,6 +330,20 @@ class TestSampleDamped:
         assert all(len(set(row)) == len(row) for row in draws_s1)
         again = sample_damped_dpp(dp_s1, seed=5, n_draws=200)
         assert np.array_equal(draws_s1, again)
+
+    def test_range_basis_reproduces_projection(self, dp_s1):
+        Q = _range_basis(dp_s1)
+        assert Q.shape == (dp_s1.grid.size, dp_s1.rank)
+        assert float(np.max(np.abs(Q.T @ Q - np.eye(dp_s1.rank)))) < 1e-13
+        assert float(np.max(np.abs(Q @ Q.T - dp_s1.matrix))) < 1e-13
+
+    def test_draws_match_dense_eigenbasis(self, dp_s1, draws_s1):
+        # the dense eigh route: same range, so the same draws
+        lam, V = np.linalg.eigh(dp_s1.matrix)
+        Q = np.ascontiguousarray(V[:, -dp_s1.rank:])
+        rng = np.random.Generator(np.random.Philox(key=5))
+        ref = sequential_projection_draws(Q, dp_s1.grid.nodes, rng, 200)
+        assert np.array_equal(draws_s1, ref)
 
     def test_corrupt_projection_rejected(self, grid, dp_s1):
         bad = DampedProjectionGrid(

@@ -7,6 +7,7 @@ with the sample sizes chosen so that passing margins are wide.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from hpkernels import sampling
 from hpkernels.errors import (
     DomainError,
     EigenFailure,
     GridTooCoarse,
     NonConvergenceWarning,
 )
+from hpkernels.infmeasures import _range_basis, damped_projection, make_damped_grid
 from hpkernels.kernels import build_finite_kernel
 from hpkernels.quadrature import panel_nodes
 from hpkernels.sampling import (
@@ -34,6 +37,7 @@ from hpkernels.sampling import (
     sample_projection_dpp,
     sample_projection_dpp_batch,
     sample_pseudo_jacobi_mcmc,
+    sequential_projection_draws,
     write_sample_archive,
 )
 from hpkernels.weights_opuc import HPParam
@@ -169,6 +173,112 @@ class TestProjectionDPP:
         k = build_finite_kernel(HPParam(0.5), 3, route="line_direct")
         with pytest.raises(DomainError):
             sample_projection_dpp(k, SamplerConfig(seed=1))
+
+
+def reference_draws(Q, x, rng, n_draws):
+    """The chain rule one draw at a time: rank-one updates of a copy of Q,
+    one scalar uniform per step (density sampling at rank one)."""
+    N = Q.shape[1]
+    out = np.empty((n_draws, N))
+    if N == 1:
+        p = np.abs(Q[:, 0]) ** 2
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        out[:, 0] = x[np.searchsorted(cdf, rng.random(n_draws))]
+        return out
+    for d in range(n_draws):
+        A = Q.copy()
+        p = np.einsum("ij,ij->i", A, A.conj()).real
+        picks = np.empty(N, dtype=np.int64)
+        for step in range(N):
+            p = np.maximum(p, 0.0)
+            cdf = np.cumsum(p)
+            i = min(int(np.searchsorted(cdf, rng.random() * cdf[-1])), len(x) - 1)
+            picks[step] = i
+            p[i] = 0.0
+            if step == N - 1:
+                break
+            v = A[i].conj()
+            v = v / np.linalg.norm(v)
+            c = A @ v
+            A -= np.outer(c, v.conj())
+            p -= np.abs(c) ** 2
+            p[picks[: step + 1]] = 0.0
+        out[d] = np.sort(x[picks])
+    return out
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.fixture(scope="module")
+def circle_grid():
+    cache = {}
+
+    def get(s, N):
+        if (s, N) not in cache:
+            k = build_finite_kernel(HPParam(s), N)
+            cache[s, N] = sampling._prepare_grid(k, SamplerConfig())
+        return cache[s, N]
+    return get
+
+
+@pytest.fixture(scope="module")
+def damped_basis():
+    dp = damped_projection(HPParam(-1.0), 1.0, make_damped_grid(), 20)
+    return dp.grid.nodes, _range_basis(dp)
+
+
+class TestBatchedDraws:
+    """The chunked sampler equals the one-draw-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("s, N", [(0.5, 1), (0.0, 2), (0.5, 6), (0.0, 12), (0.0, 64)])
+    @pytest.mark.parametrize("n_draws", [0, 2, 3, 8])
+    def test_matches_reference_across_chunks(self, circle_grid, monkeypatch, s, N, n_draws):
+        # chunks of 3 draws: below one chunk, exactly one, and three chunks
+        x, Q = circle_grid(s, N)
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES",
+                            3 * sampling._draw_bytes(*Q.shape, Q.itemsize))
+        got = sequential_projection_draws(Q, x, _philox(n_draws + N), n_draws)
+        assert got.shape == (n_draws, N)
+        assert np.array_equal(got, reference_draws(Q, x, _philox(n_draws + N), n_draws))
+
+    def test_matches_reference_at_default_budget(self, circle_grid):
+        x, Q = circle_grid(0.5, 6)
+        B = sampling._CHUNK_BYTES // sampling._draw_bytes(*Q.shape, Q.itemsize)
+        assert B > 1
+        for n_draws in (B - 1, B, 2 * B + 1):
+            got = sequential_projection_draws(Q, x, _philox(n_draws), n_draws)
+            assert np.array_equal(got, reference_draws(Q, x, _philox(n_draws), n_draws))
+
+    @pytest.mark.parametrize("n_draws", [0, 2, 3, 8])
+    def test_real_basis_matches_reference(self, damped_basis, monkeypatch, n_draws):
+        x, Q = damped_basis
+        assert Q.dtype == np.float64
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES",
+                            3 * sampling._draw_bytes(*Q.shape, Q.itemsize))
+        got = sequential_projection_draws(Q, x, _philox(7), n_draws)
+        assert np.array_equal(got, reference_draws(Q, x, _philox(7), n_draws))
+
+    def test_memory_bounded_by_chunk_budget(self):
+        # rank 256 on 4096 rows: the N x N vectors dominate each draw.  The
+        # 24 draws fill four chunks; a budget blind to the vectors would put
+        # them in one chunk whose vectors alone take 25 MB.
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((4096, 256)) + 1j * rng.standard_normal((4096, 256))
+        Q = np.ascontiguousarray(np.linalg.qr(Z)[0])
+        x = np.linspace(-1.0, 1.0, 4096)
+        del Z
+        tracemalloc.start()
+        try:
+            out = sequential_projection_draws(Q, x, _philox(1), 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (24, 256)
+        assert np.all(np.diff(out, axis=1) > 0)
+        assert peak <= sampling._CHUNK_BYTES + Q.nbytes
 
 
 class TestMCMC:
