@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,15 @@ from .kernels import (
     eval_V,
     eval_limit_kernel,
     eval_phi_n,
-    finite_kernel_matrix,
 )
-from .sampling import SamplerConfig, mcmc_draws, sample_projection_dpp_batch
+from .sampling import (
+    Configuration,
+    SamplerConfig,
+    mcmc_draws,
+    read_sample_sidecar,
+    sample_projection_dpp_batch,
+    write_sample_archive,
+)
 from .ergodics import rho1_second_moment, tail_mass, variance_bound_check
 from .ergodics import gamma1_balance_experiment
 from .infmeasures import (
@@ -124,30 +130,31 @@ def _fmt17(v) -> str:
 # ---------------------------------------------------------------------------
 # RunSpec assembly
 
-# per-command parameter tables: name -> (caster, default)
+# per-command parameter tables: name -> (caster, default).  The parser is
+# built from them: suite, kind and name are positional, every other name
+# x_y is the flag --x-y (and the config key x_y).
 _COMMON = {
+    "jobs": (int, 1),
     "out": (str, None),
     "config": (str, None),
-    "jobs": (int, 1),
 }
 
 _PARAMS = {
     "check": {
-        **_COMMON,
         "suite": (str, None),
         "s": (float, 0.0),
         "N": (int, 8),
+        **_COMMON,
     },
     "table": {
-        **_COMMON,
         "kind": (str, None),
         "s": (float, 0.0),
         "N": (int, 8),
         "n": (int, 4),
         "grid": (str, "0.2:3:20"),
+        **_COMMON,
     },
     "sample": {
-        **_COMMON,
         "s": (float, 0.0),
         "N": (int, 4),
         "method": (str, "spectral"),
@@ -158,9 +165,9 @@ _PARAMS = {
         "chains": (int, 32),
         "step_scale": (float, 0.5),
         "replay": (str, None),
+        **_COMMON,
     },
     "experiment": {
-        **_COMMON,
         "name": (str, None),
         "s": (float, 0.0),
         "eps": (float, 0.2),
@@ -169,6 +176,7 @@ _PARAMS = {
         "M": (int, 64),
         "draws": (int, 60),
         "seed": (int, 0),
+        **_COMMON,
     },
 }
 
@@ -224,6 +232,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         a, b, count = float(a_s), float(b_s), int(n_s)
     except ValueError as e:
         raise SpecError(f"grid must be 'a:b:count', got {spec!r}") from e
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise SpecError("grid ends must be finite")
     if count < 2 or not a < b:
         raise SpecError("grid needs a < b and count >= 2")
     pts = np.linspace(a, b, count)
@@ -260,7 +270,10 @@ def _validate(spec: RunSpec) -> None:
         _require_s(p, "table")
         _require(p["N"] >= 1, "N >= 1 required")
         _require(p["n"] >= 1, "n >= 1 required")
-        _parse_grid(p["grid"])
+        grid = _parse_grid(p["grid"])
+        if p["kind"] == "phi_n":
+            _require(bool(np.all(np.abs(grid) < p["n"] * np.pi)),
+                     f"phi_n needs grid points in (-n pi, n pi), n = {p['n']}")
     elif spec.command == "sample":
         if p["replay"] is None:
             _require_s(p, "sampling")
@@ -268,7 +281,7 @@ def _validate(spec: RunSpec) -> None:
             _require(p["method"] in ("spectral", "spectral_dpp", "mcmc"),
                      f"unknown method {p['method']!r}")
         _require(p["draws"] >= 1, "draws >= 1 required")
-        _require(p["seed"] >= 0, "seed >= 0 required")
+        _require(0 <= p["seed"] < 2**64, "0 <= seed < 2^64 required")
         _require(p["burn_in"] >= 1, "burn_in >= 1 required")
         _require(p["thinning"] >= 1, "thinning >= 1 required")
         _require(p["chains"] >= 1, "chains >= 1 required")
@@ -285,7 +298,7 @@ def _validate(spec: RunSpec) -> None:
         if name == "gamma1":
             _require(p["M"] >= 8, "M >= 8 required")
             _require(p["draws"] >= 1, "draws >= 1 required")
-            _require(p["seed"] >= 0, "seed >= 0 required")
+            _require(0 <= p["seed"] < 2**64, "0 <= seed < 2^64 required")
 
 
 def _out_path(spec: RunSpec, default_name: str) -> str:
@@ -416,7 +429,7 @@ def cmd_table(spec: RunSpec):
     param = HPParam(p["s"])
     if kind == "kernel":
         k = build_finite_kernel(param, p["N"])
-        K = finite_kernel_matrix(k, grid, grid)
+        K = k.kernel_matrix(grid, grid)
         rows = ((float(x), float(y), float(K[i, j]))
                 for i, x in enumerate(grid) for j, y in enumerate(grid))
         header = ["x", "y", "value"]
@@ -450,48 +463,33 @@ def _canonical_method(m: str) -> str:
 
 
 def cmd_sample(spec: RunSpec):
-    p = dict(spec.params)
+    p = spec.params
     if p["replay"]:
         try:
-            with io.open(p["replay"], "r", encoding="ascii") as f:
-                side = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+            cfg, side = read_sample_sidecar(p["replay"])
+        except (OSError, ValueError, TypeError) as e:
             raise SpecError(f"cannot read sidecar {p['replay']}: {e}") from e
-        for key in ("s", "N", "draws", "runspec"):
-            if key not in side:
-                raise SpecError(f"sidecar lacks {key}; not a sample archive sidecar")
-        p.update({k: side[k] for k in ("s", "N", "draws")})
-        cfg = SamplerConfig(**{k: v for k, v in side.items()
-                               if k in SamplerConfig.__dataclass_fields__})
-        prov = side["runspec"]
+        if side is None:
+            raise SpecError(f"{p['replay']} lacks the run parameters of a sample archive")
+        s, N, draws, prov = side["s"], side["N"], side["draws"], side["runspec"]
     else:
         cfg = SamplerConfig(
             seed=p["seed"], method=_canonical_method(p["method"]),
             burn_in=p["burn_in"], thinning=p["thinning"], n_chains=p["chains"],
             step_scale=p["step_scale"],
         )
-        clean = RunSpec("sample", {**p, "method": cfg.method, "replay": None})
-        prov = clean.provenance()
-    param = HPParam(float(p["s"]))
-    N, draws = int(p["N"]), int(p["draws"])
+        s, N, draws = p["s"], p["N"], p["draws"]
+        prov = RunSpec("sample", {**p, "method": cfg.method, "replay": None}).provenance()
     stats: dict = {}
     if cfg.method == "spectral_dpp":
-        arr = sample_projection_dpp_batch(build_finite_kernel(param, N), cfg, draws)
+        arr = sample_projection_dpp_batch(build_finite_kernel(HPParam(s), N), cfg, draws)
     else:
-        arr = mcmc_draws(param, N, cfg, draws, stats)
+        arr = mcmc_draws(HPParam(s), N, cfg, draws, stats)
     path = _out_path(spec, "samples.csv")
-    with io.open(path, "w", encoding="ascii") as f:
-        f.write(f"# runspec: {prov}\n")
-        for row in arr:
-            f.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    sidecar = {**asdict(cfg), "s": float(p["s"]), "N": N, "draws": draws,
-               "runspec": prov}
-    with io.open(path + ".json", "w", encoding="ascii") as f:
-        json.dump(sidecar, f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_sample_archive(path, [Configuration(tuple(row)) for row in arr], cfg,
+                         s=s, N=N, runspec=prov)
     report = {"command": "sample", "runspec": prov, "path": path,
-              "rows": draws, "method": cfg.method,
-              "replay": bool(spec.params["replay"])}
+              "rows": draws, "method": cfg.method, "replay": bool(p["replay"])}
     if stats:
         report["acceptance_rate"] = stats["acceptance_rate"]
         report["step_scale"] = stats["step_scale"]
@@ -501,35 +499,28 @@ def cmd_sample(spec: RunSpec):
 # ---------------------------------------------------------------------------
 # experiment
 
+def _run_cell(cell):
+    fn, s, N, x = cell
+    return fn(HPParam(s), N, x)
+
+
 def _pmap(fn, items, jobs: int):
+    """fn(HPParam(s), N, x) over the (s, N, x) items, in order; with
+    jobs > 1 in a process pool of at most one worker per item."""
+    cells = [(fn, *it) for it in items]
     if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
-def _second_moment_cell(args):
-    s, N, eps = args
-    return rho1_second_moment(HPParam(s), N, eps)
-
-
-def _tail_cell(args):
-    s, N, R = args
-    return tail_mass(HPParam(s), N, R)
-
-
-def _variance_cell(args):
-    s, N, eps = args
-    return variance_bound_check(HPParam(s), N, eps)
+        return [_run_cell(c) for c in cells]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as ex:
+        return list(ex.map(_run_cell, cells))
 
 
 def _experiment_gamma2(p: dict):
     s, jobs = p["s"], p["jobs"]
     fit_eps = (0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0)
-    fit_vals = _pmap(_second_moment_cell, [(s, 10, e) for e in fit_eps], jobs)
+    fit_vals = _pmap(rho1_second_moment, [(s, 10, e) for e in fit_eps], jobs)
     C = max(v / e for v, e in zip(fit_vals, fit_eps))
     cells_in = [(s, N, e) for N in (20, 50) for e in (0.025, 0.05, 0.1)]
-    vals = _pmap(_second_moment_cell, cells_in, jobs)
+    vals = _pmap(rho1_second_moment, cells_in, jobs)
     cells = []
     for (s_, N, e), v in zip(cells_in, vals):
         cells.append({"N": N, "eps": e, "value": v, "ratio": v / e,
@@ -544,10 +535,10 @@ def _experiment_tails(p: dict):
     s, jobs = p["s"], p["jobs"]
     power = min(1.0, 1.0 + 2.0 * s)
     Rs = (5.0, 10.0, 20.0)
-    fit_vals = _pmap(_tail_cell, [(s, 10, R) for R in Rs], jobs)
+    fit_vals = _pmap(tail_mass, [(s, 10, R) for R in Rs], jobs)
     C = max(v * R**power for v, R in zip(fit_vals, Rs))
     cells_in = [(s, N, R) for N in (20, 50) for R in Rs]
-    vals = _pmap(_tail_cell, cells_in, jobs)
+    vals = _pmap(tail_mass, cells_in, jobs)
     cells = []
     for (s_, N, R), v in zip(cells_in, vals):
         scaled = v * R**power
@@ -561,7 +552,7 @@ def _experiment_tails(p: dict):
 def _experiment_variance(p: dict):
     s, jobs = p["s"], p["jobs"]
     cells_in = [(s, N, e) for N in (6, 12) for e in (p["eps"], 2.0 * p["eps"])]
-    vals = _pmap(_variance_cell, cells_in, jobs)
+    vals = _pmap(variance_bound_check, cells_in, jobs)
     cells = []
     for (s_, N, e), (T, bound) in zip(cells_in, vals):
         ok = -1e-12 <= T <= bound + 1e-12
@@ -616,53 +607,29 @@ def cmd_experiment(spec: RunSpec):
 # ---------------------------------------------------------------------------
 # entry point
 
+_HELP = {
+    "check": "run a module invariant suite",
+    "table": "tabulate a function to CSV",
+    "sample": "run a sampler into an archive",
+    "experiment": "run a study into a JSON report",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hpk", description="ensemble kernels, samplers and experiments"
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        opts = {
-            "s": dict(type=float, dest="s"),
-            "N": dict(type=int, dest="N"),
-            "n": dict(type=int, dest="n"),
-            "eps": dict(type=float, dest="eps"),
-            "sigma": dict(type=float, dest="sigma"),
-            "sprime": dict(type=float, dest="sprime"),
-            "seed": dict(type=int, dest="seed"),
-            "grid": dict(type=str, dest="grid"),
-            "M": dict(type=int, dest="M"),
-            "method": dict(type=str, dest="method"),
-            "draws": dict(type=int, dest="draws"),
-            "burn-in": dict(type=int, dest="burn_in"),
-            "thinning": dict(type=int, dest="thinning"),
-            "chains": dict(type=int, dest="chains"),
-            "step-scale": dict(type=float, dest="step_scale"),
-            "replay": dict(type=str, dest="replay"),
-        }
-        for name in names:
-            p.add_argument(f"--{name}", **opts[name])
-        p.add_argument("--jobs", type=int, dest="jobs")
-        p.add_argument("--out", type=str, dest="out")
-        p.add_argument("--config", type=str, dest="config")
-
-    pc = sub.add_parser("check", help="run a module invariant suite")
-    pc.add_argument("suite", choices=sorted(_SUITES))
-    common(pc, "s", "N")
-
-    pt = sub.add_parser("table", help="tabulate a function to CSV")
-    pt.add_argument("kind", choices=["kernel", "weight", "vfunction", "phi_n"])
-    common(pt, "s", "N", "n", "grid")
-
-    ps = sub.add_parser("sample", help="run a sampler into an archive")
-    common(ps, "s", "N", "method", "draws", "seed", "burn-in", "thinning",
-           "chains", "step-scale", "replay")
-
-    pe = sub.add_parser("experiment", help="run a study into a JSON report")
-    pe.add_argument("name", choices=sorted(_EXPERIMENTS))
-    common(pe, "s", "eps", "sigma", "sprime", "M", "draws", "seed")
-
+    positional = {"suite": sorted(_SUITES),
+                  "kind": ["kernel", "weight", "vfunction", "phi_n"],
+                  "name": sorted(_EXPERIMENTS)}
+    for command, table in _PARAMS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        for name, (cast, _) in table.items():
+            if name in positional:
+                p.add_argument(name, choices=positional[name])
+            else:
+                p.add_argument("--" + name.replace("_", "-"), type=cast, dest=name)
     return ap
 
 

@@ -11,16 +11,13 @@ the smallest instance and asserting on larger ones with fixed slack.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .kernels import FiniteKernel, LimitKernel, _limit_diag, build_finite_kernel
+from .kernels import LimitKernel, _limit_diag, build_finite_kernel
 from .quadrature import graded_nodes, panel_nodes
 from .sampling import Configuration, SamplerConfig, sample_hp_matrix_s0_batch
 from .weights_opuc import HPParam
@@ -38,8 +35,6 @@ __all__ = [
     "limit_tail_mass",
     "variance_bound_check",
     "gamma1_balance_experiment",
-    "write_experiment_json",
-    "experiment_to_csv",
 ]
 
 
@@ -216,24 +211,28 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
     return 2.0 * float(np.sum(w * integrand)) / (N * N)
 
 
-def tail_mass(param: HPParam, N: int, R: float, growth: float = 2.0,
-              panels: int = 14) -> float:
-    """Integral of K_N(x, x) over |x| >= R, geometric panels out to
-    T = R * growth^panels plus the power-law remainder estimate
-    T rho_1(T) / (1 + 2s) matching the x^(-2-2s) decay."""
-    if R <= 0:
-        raise DomainError("R > 0 required")
-    k = build_finite_kernel(param, N)
+def _geometric_tail(diag, s: float, R: float, growth: float, panels: int) -> float:
+    """Integral of the even diagonal diag over |x| >= R: geometric pieces
+    [R growth^j, R growth^(j+1)] out to T = R growth^panels, then the
+    power-law remainder T diag(T) / (1 + 2s) matching the x^(-2-2s) decay."""
     total = 0.0
     lo = R
     for _ in range(panels):
         hi = lo * growth
         x, w = panel_nodes(lo, hi, 20)
-        total += float(np.sum(w * k.rho1(x)))
+        total += float(np.sum(w * diag(x)))
         lo = hi
-    s = param.s
-    tail = lo * float(k.rho1(np.array([lo]))[0]) / (1.0 + 2.0 * s)
+    tail = lo * float(diag(np.array([lo]))[0]) / (1.0 + 2.0 * s)
     return 2.0 * (total + tail)
+
+
+def tail_mass(param: HPParam, N: int, R: float, growth: float = 2.0,
+              panels: int = 14) -> float:
+    """Integral of K_N(x, x) over |x| >= R (see _geometric_tail)."""
+    if R <= 0:
+        raise DomainError("R > 0 required")
+    k = build_finite_kernel(param, N)
+    return _geometric_tail(k.rho1, param.s, R, growth, panels)
 
 
 def limit_tail_mass(param: HPParam, R: float, growth: float = 2.0,
@@ -243,15 +242,7 @@ def limit_tail_mass(param: HPParam, R: float, growth: float = 2.0,
         raise DomainError("R > 0 required")
     LimitKernel(param)  # DomainError unless s > -1/2
     s = param.s
-    total = 0.0
-    lo = R
-    for _ in range(panels):
-        hi = lo * growth
-        x, w = panel_nodes(lo, hi, 20)
-        total += float(np.sum(w * _limit_diag(s, x)))
-        lo = hi
-    tail = lo * float(_limit_diag(s, np.array([lo]))[0]) / (1.0 + 2.0 * s)
-    return 2.0 * (total + tail)
+    return _geometric_tail(lambda x: _limit_diag(s, x), s, R, growth, panels)
 
 
 def variance_bound_check(param: HPParam, N: int, eps: float):
@@ -320,27 +311,3 @@ def gamma1_balance_experiment(M: int, N_list, n_list, draws: int,
                    "draws": draws, "seed": seed, "R": R},
         "cells": cells,
     }
-
-
-# ---------------------------------------------------------------------------
-# Report output
-
-
-def write_experiment_json(path: str, report: dict) -> None:
-    with io.open(path, "w", encoding="ascii") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
-        f.write("\n")
-
-
-def experiment_to_csv(report: dict) -> str:
-    """Flat CSV of the cells, columns sorted by name."""
-    cells = report.get("cells", [])
-    if not cells:
-        return ""
-    cols = sorted({k for c in cells for k in c})
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=cols)
-    writer.writeheader()
-    for c in cells:
-        writer.writerow(c)
-    return buf.getvalue()

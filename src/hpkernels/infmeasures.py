@@ -15,8 +15,6 @@ desk scale goes through the Gaussian damping g(x) = exp(-sigma x^2):
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,7 +27,7 @@ from .errors import (
     QuadFailure,
 )
 from .kernels import VFunction, build_finite_kernel, eval_V
-from .quadrature import panel_nodes
+from .quadrature import gauss_panels, panel_nodes
 from .sampling import sequential_projection_draws
 from .weights_opuc import HPParam
 
@@ -49,8 +47,6 @@ __all__ = [
     "s2_functional",
     "damped_dpp_diagonal",
     "sample_damped_dpp",
-    "write_projection_binary",
-    "read_projection_binary",
 ]
 
 
@@ -142,25 +138,16 @@ class DampedGrid:
 
 
 def make_damped_grid(R: float = 6.0, delta: float = 0.08, t_max: float = 80.0,
-                     t_panel: float = 2.5, x_panel: float = 0.25,
-                     refine: int = 1) -> DampedGrid:
+                     t_panel: float = 2.5, x_panel: float = 0.25) -> DampedGrid:
     if not (0 < delta < R) or t_max <= 1.0 / delta:
         raise DomainError("need 0 < delta < R and t_max > 1/delta")
-    xs, ws = [], []
     # oscillatory region (1/t_max, delta]: panels uniform in t = 1/x
     t_edges = np.arange(1.0 / delta, t_max + t_panel, t_panel)
-    for a, b in zip(t_edges[:-1], t_edges[1:]):
-        t, wt = panel_nodes(a, min(b, t_max), refine)
-        xs.append(1.0 / t)
-        ws.append(wt / (t * t))
+    t, wt = gauss_panels(np.minimum(t_edges, t_max))
     # bulk [delta, R]
-    edges = np.arange(delta, R + x_panel, x_panel)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = panel_nodes(a, min(b, R), refine)
-        xs.append(x)
-        ws.append(w)
-    xp = np.concatenate(xs)
-    wp = np.concatenate(ws)
+    x, w = gauss_panels(np.minimum(np.arange(delta, R + x_panel, x_panel), R))
+    xp = np.concatenate([1.0 / t, x])
+    wp = np.concatenate([wt / (t * t), w])
     nodes = np.concatenate([-xp[::-1], xp])
     weights = np.concatenate([wp[::-1], wp])
     return DampedGrid(nodes, weights, float(R))
@@ -338,38 +325,3 @@ def sample_damped_dpp(dp: DampedProjectionGrid, seed: int, n_draws: int) -> np.n
     conditioning used for the finite-N samplers."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     return sequential_projection_draws(_range_basis(dp), dp.grid.nodes, rng, n_draws)
-
-
-# ---------------------------------------------------------------------------
-# Binary export
-
-
-def write_projection_binary(path: str, dp: DampedProjectionGrid) -> None:
-    """Row-major float64 matrix plus a JSON header; bit-exact round trip."""
-    mat = np.ascontiguousarray(dp.matrix, dtype="<f8")
-    with io.open(path, "wb") as f:
-        f.write(mat.tobytes())
-    header = {
-        "shape": list(mat.shape),
-        "dtype": "<f8",
-        "order": "C",
-        "s": dp.param.s,
-        "sigma": dp.sigma,
-        "m": dp.m,
-        "R": dp.grid.R,
-        "nodes": dp.grid.nodes.tolist(),
-        "weights": dp.grid.weights.tolist(),
-    }
-    with io.open(path + ".json", "w", encoding="ascii") as f:
-        json.dump(header, f, sort_keys=True)
-        f.write("\n")
-
-
-def read_projection_binary(path: str) -> DampedProjectionGrid:
-    with io.open(path + ".json", "r", encoding="ascii") as f:
-        h = json.load(f)
-    mat = np.frombuffer(
-        open(path, "rb").read(), dtype=h["dtype"]
-    ).reshape(h["shape"]).copy()
-    grid = DampedGrid(np.array(h["nodes"]), np.array(h["weights"]), h["R"])
-    return DampedProjectionGrid(HPParam(h["s"]), h["sigma"], grid, h["m"], mat)

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, QuadFailure
-from .quadrature import panel_nodes
+from .quadrature import gauss_panels, panel_nodes
 from .specfun import bessel_j, gamma_fn, jsq_over_t_tail
 from .weights_opuc import (
     CircleWeight,
@@ -46,7 +46,6 @@ __all__ = [
     "cayley_jacobian",
     "build_finite_kernel",
     "eval_finite_kernel",
-    "finite_kernel_matrix",
     "build_rescaled_circle_kernel",
     "eval_phi_n",
     "eval_limit_kernel",
@@ -59,7 +58,6 @@ __all__ = [
     "check_limit_recurrence",
     "check_finite_recurrence",
     "convergence_profile",
-    "kernel_table_csv",
 ]
 
 
@@ -168,10 +166,6 @@ def eval_finite_kernel(k: FiniteKernel, x: float, y: float) -> float:
     if x == 0.0 or y == 0.0:
         raise DomainError("kernel is defined on R*")
     return float(k.kernel_matrix([x], [y])[0, 0])
-
-
-def finite_kernel_matrix(k: FiniteKernel, xs, ys) -> np.ndarray:
-    return k.kernel_matrix(xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +435,6 @@ def check_projection(
     if R_trunc <= 2.0 * max(abs(x), abs(y), 1.0):
         raise DomainError("R_trunc too small for the tail estimate")
     total = 0.0
-    gl_x, gl_w = np.polynomial.legendre.leggauss(q.nodes)
     # inner oscillatory region via t = 1/gamma on both sides
     t0 = 1.0 / q.delta
     n_panels = int(math.ceil((q.t_max - t0) / math.pi))
@@ -451,11 +444,7 @@ def check_projection(
         vals = _kernel_products(k, x, y, g)
         total += float(np.sum(tw * vals / (tg * tg)))
     # graded panels on delta <= |gamma| <= R
-    edges = _graded_edges(q.delta, R_trunc, q.grade)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    g_nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    g_w = (half[:, None] * gl_w[None, :]).ravel()
+    g_nodes, g_w = gauss_panels(_graded_edges(q.delta, R_trunc, q.grade), q.nodes)
     for sgn in (1.0, -1.0):
         g = sgn * g_nodes
         keep = np.abs(g - x) > 1e-9
@@ -553,12 +542,3 @@ def convergence_profile(s: float, N_list, grid) -> list[tuple[int, float]]:
         corrected = sg[:, None] * sg[None, :] * K
         out.append((int(N), float(np.max(np.abs(corrected - target)))))
     return out
-
-
-def kernel_table_csv(values: np.ndarray, xs, ys) -> str:
-    """CSV export (x, y, value) with 17 significant digits."""
-    lines = ["x,y,value"]
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            lines.append(f"{xv:.17g},{yv:.17g},{values[i, j]:.17g}")
-    return "\n".join(lines) + "\n"

@@ -6,18 +6,24 @@ import math
 
 import numpy as np
 
-__all__ = ["panel_nodes", "graded_nodes", "panel_integrate", "de_nodes"]
+__all__ = ["gauss_panels", "panel_nodes", "graded_nodes", "de_nodes"]
 
 
-def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):
-    """Gauss-Legendre nodes/weights compounded over equal panels of [a, b]."""
+def gauss_panels(edges, n_nodes: int = 16):
+    """Gauss-Legendre nodes/weights compounded over the panels
+    [edges[i], edges[i+1]]."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(a, b, n_panels + 1)
+    edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     weights = (half[:, None] * gl_w[None, :]).ravel()
     return nodes, weights
+
+
+def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):
+    """Gauss-Legendre nodes/weights compounded over equal panels of [a, b]."""
+    return gauss_panels(np.linspace(a, b, n_panels + 1), n_nodes)
 
 
 def graded_nodes(b: float, levels: int, n_nodes: int = 16, density: float = 0.0):
@@ -28,21 +34,10 @@ def graded_nodes(b: float, levels: int, n_nodes: int = 16, density: float = 0.0)
     algebraic endpoint behaviour at 0 and an oscillation of wavelength
     ~ 1/density are both resolved.
     """
-    edges = b * 2.0 ** np.arange(-levels, 1.0)
-    xs, ws = [], []
-    lo = 0.0
-    for hi in edges:
-        x, w = panel_nodes(lo, hi, 1 + math.ceil(density * (hi - lo)), n_nodes)
-        xs.append(x)
-        ws.append(w)
-        lo = hi
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def panel_integrate(f, a: float, b: float, n_panels: int, n_nodes: int = 16) -> float:
-    """Integrate a vectorized callable over [a, b] with compounded GL panels."""
-    nodes, weights = panel_nodes(a, b, n_panels, n_nodes)
-    return float(np.sum(weights * f(nodes)))
+    bounds = b * 2.0 ** np.arange(-levels, 1.0)
+    edges = [np.linspace(lo, hi, 2 + math.ceil(density * (hi - lo)))[:-1]
+             for lo, hi in zip([0.0, *bounds[:-1]], bounds)]
+    return gauss_panels(np.append(np.concatenate(edges), bounds[-1]), n_nodes)
 
 
 def de_nodes(n: int, t_max: float = 4.2):

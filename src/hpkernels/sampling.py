@@ -14,7 +14,7 @@ import json
 import math
 import warnings
 import dataclasses
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "sample_hp_matrix_s0_batch",
     "corner_summaries",
     "write_sample_archive",
+    "read_sample_sidecar",
     "read_sample_archive",
 ]
 
@@ -386,22 +387,57 @@ def corner_summaries(X: np.ndarray, N_list) -> list:
 # Archives
 
 
-def write_sample_archive(path: str, configs, cfg: SamplerConfig) -> None:
+# keys an `hpk sample` sidecar adds to the SamplerConfig fields for replay
+_PROVENANCE = ("s", "N", "draws", "runspec")
+
+
+def write_sample_archive(path: str, configs, cfg: SamplerConfig, *, s: float | None = None,
+                         N: int | None = None, runspec: str | None = None) -> None:
     """CSV, one configuration per row (variable length), plus a JSON sidecar
-    with the full SamplerConfig for replay."""
+    with the full SamplerConfig for replay.
+
+    An `hpk sample` archive also passes its s, N and runspec: the sidecar
+    then records them with draws = len(configs), and the runspec heads the
+    CSV as a `# runspec:` comment line.
+    """
+    configs = list(configs)
     with io.open(path, "w", encoding="ascii") as f:
+        if runspec is not None:
+            f.write(f"# runspec: {runspec}\n")
         for c in configs:
             f.write(",".join(f"{p:.17g}" for p in c.points) + "\n")
+    side = asdict(cfg)
+    if runspec is not None:
+        side.update(s=float(s), N=int(N), draws=len(configs), runspec=runspec)
     with io.open(path + ".json", "w", encoding="ascii") as f:
-        json.dump(asdict(cfg), f, indent=1, sort_keys=True)
+        json.dump(side, f, indent=1, sort_keys=True)
         f.write("\n")
+
+
+def read_sample_sidecar(path: str):
+    """(SamplerConfig, provenance) from the JSON sidecar at path.
+
+    provenance maps s, N, draws and runspec as an `hpk sample` archive
+    records them (float, int, int, str), or is None if the sidecar lacks
+    any (a bare archive).  Other keys are ignored.
+    """
+    with io.open(path, "r", encoding="ascii") as f:
+        raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise DomainError(f"sidecar {path} is not a JSON object")
+    names = {f.name for f in dataclasses.fields(SamplerConfig)}
+    cfg = SamplerConfig(**{k: v for k, v in raw.items() if k in names})
+    if not all(k in raw for k in _PROVENANCE):
+        return cfg, None
+    return cfg, {"s": float(raw["s"]), "N": int(raw["N"]),
+                 "draws": int(raw["draws"]), "runspec": str(raw["runspec"])}
 
 
 def read_sample_archive(path: str):
     """Inverse of write_sample_archive: (configurations, SamplerConfig).
 
-    Comment lines and sidecar keys beyond the SamplerConfig fields (archives
-    produced with extra provenance) are ignored.
+    Comment lines and sidecar keys beyond the SamplerConfig fields are
+    ignored.
     """
     configs = []
     with io.open(path, "r", encoding="ascii") as f:
@@ -409,8 +445,4 @@ def read_sample_archive(path: str):
             line = line.strip()
             if line and not line.startswith("#"):
                 configs.append(Configuration(tuple(float(t) for t in line.split(","))))
-    names = {f.name for f in dataclasses.fields(SamplerConfig)}
-    with io.open(path + ".json", "r", encoding="ascii") as f:
-        raw = json.load(f)
-    cfg = SamplerConfig(**{k: v for k, v in raw.items() if k in names})
-    return configs, cfg
+    return configs, read_sample_sidecar(path + ".json")[0]

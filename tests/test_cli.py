@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, determinism, artifacts."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hpkernels
+from hpkernels import cli
 from hpkernels.cli import RunSpec, main
 from hpkernels.sampling import read_sample_archive
 
@@ -37,6 +42,10 @@ class TestExitCodes:
 
     def test_grid_containing_zero_is_two(self):
         assert main(["table", "weight", "--grid=-1:1:3"]) == 2
+
+    def test_non_finite_grid_is_two(self, capsys):
+        assert main(["table", "weight", "--grid=-inf:1:3"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_malformed_grid_is_two(self):
         assert main(["table", "weight", "--grid", "1:2"]) == 2
@@ -131,6 +140,27 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--R", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--draws", "1", "--seed", str(2**64)],
+        ["experiment", "gamma1", "--M", "8", "--draws", "1", "--seed", str(2**64)],
+    ])
+    def test_seed_beyond_64_bits_is_two(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed < 2^64" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_phi_n_grid_outside_window_is_two(self, capsys, tmp_path, monkeypatch):
+        # 7 lies beyond n pi = 6.28... at n = 2
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        assert main(["table", "phi_n", "--n", "2", "--grid", "1:7:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "(-n pi, n pi)" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_import_loads_neither_scipy_special_nor_mpmath(self):
         src = os.path.dirname(os.path.dirname(hpkernels.__file__))
@@ -277,6 +307,12 @@ class TestSample:
         p.write_text('{"seed": 1}')
         assert main(["sample", "--replay", str(p)]) == 2
 
+    def test_replay_rejects_non_object_sidecar(self, capsys, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        assert main(["sample", "--replay", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_mcmc_reports_acceptance_rate(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
         rc, rep = run(capsys, ["sample", "--s", "0", "--N", "3", "--method",
@@ -346,6 +382,33 @@ class TestExperiments:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
+    def test_jobs_capped_at_cell_count(self, capsys, monkeypatch):
+        # a pool forks all of its workers when it starts, so --jobs must not
+        # reach it uncapped; the fake pool records the size and runs serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        rc1 = main(["experiment", "tails", "--s", "0.5"])
+        out1 = capsys.readouterr().out
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        rc2 = main(["experiment", "tails", "--s", "0.5", "--jobs", "100000"])
+        out2 = capsys.readouterr().out
+        assert rc1 == rc2 == 0
+        assert sizes == [3, 6]  # the fit cells, then the scaled cells
+        assert out1 == out2
+
     def test_tails_scaled_mass_bounded(self, capsys):
         rc, rep = run(capsys, ["experiment", "tails", "--s", "-0.3"])
         assert rc == 0
@@ -395,3 +458,104 @@ class TestDataDir:
         assert rc == 0
         assert rep["path"] == str(target)
         assert target.exists()
+
+
+# values every flag is tried at besides its valid range, one draw in eight
+_EDGE_FLOATS = [-0.5, -1.0, 0.0, 512.0, 1e300, math.inf, -math.inf, math.nan]
+
+
+def _mostly(valid, edge):
+    return st.integers(0, 7).flatmap(lambda i: edge if i == 7 else valid)
+
+
+def _floats(lo, hi):
+    return _mostly(st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                   st.sampled_from(_EDGE_FLOATS))
+
+
+def _ints(hi):
+    return _mostly(st.integers(1, hi), st.sampled_from([-1, 0]))
+
+
+_FLAG_VALUES = {
+    "s": _floats(-0.5, 512.0).map(repr),
+    "N": _ints(16).map(str),
+    "n": _ints(8).map(str),
+    "grid": _mostly(
+        st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 10.0), st.integers(2, 8))
+        .map(lambda g: f"{g[0]!r}:{g[0] + g[1]!r}:{g[2]}"),
+        st.tuples(_floats(-10.0, 10.0), _floats(-10.0, 10.0), st.integers(-1, 8))
+        .map(lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}"),
+    ),
+    "draws": _ints(20).map(str),
+    "seed": _mostly(st.integers(0, 2**64 - 1),
+                    st.sampled_from([-1, 2**64, 10**30])).map(str),
+    "method": _mostly(st.sampled_from(["spectral", "spectral_dpp", "mcmc"]),
+                      st.just("exact")),
+    # the chain's cost is its burn-in; keep it short
+    "burn_in": _mostly(st.sampled_from(["1", "50"]), st.sampled_from(["-1", "0"])),
+}
+
+_COMMAND_FLAGS = {
+    "check": ["s", "N"],
+    "table": ["s", "N", "n", "grid"],
+    "sample": ["s", "N", "draws", "seed", "method", "burn_in"],
+}
+
+_POSITIONAL = {
+    "check": ["specfun", "opuc", "kernels", "infinite"],
+    "table": ["kernel", "weight", "vfunction", "phi_n"],
+    "sample": [],
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    if _POSITIONAL[command]:
+        argv.append(draw(st.sampled_from(_POSITIONAL[command])))
+    names = draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True))
+    if command == "sample" and "burn_in" not in names:
+        names.append("burn_in")
+    for name in names:
+        argv.append(f"--{name.replace('_', '-')}={draw(_FLAG_VALUES[name])}")
+    return [*argv, "--jobs=1"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def contract_data_dir(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        d = tmp_path_factory.mktemp("contract")
+        mp.setenv("HPK_DATA_DIR", str(d))
+        yield d
+
+
+class TestContract:
+    """Exit 0 pass, 1 failed check or runtime failure, 2 invalid
+    parameters, on any flag values, with no traceback."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(argv=_argvs())
+    def test_exit_code_contract(self, contract_data_dir, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as e:  # argparse usage errors
+                rc = e.code
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        error_lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        if rc == 0 or (rc == 1 and out):
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert report["command"] == argv[0]
+        else:
+            assert out == "", argv
+        if rc == 1 and not out:
+            assert len(error_lines) == 1, (argv, err)

@@ -1,6 +1,5 @@
 """v-basis growth obstruction, damped projections, contraction norms, S2 weight."""
 
-import json
 import math
 
 import numpy as np
@@ -21,11 +20,9 @@ from hpkernels.infmeasures import (
     growth_certificate,
     l2_verdict_from_exponent,
     make_damped_grid,
-    read_projection_binary,
     s2_functional,
     sample_damped_dpp,
     tail_growth_slope,
-    write_projection_binary,
 )
 from hpkernels.kernels import build_finite_kernel
 from hpkernels.quadrature import panel_nodes
@@ -154,6 +151,32 @@ class TestDampedGrid:
 
     def test_default_size(self, grid):
         assert grid.size == 1632
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"t_max": 10.0, "delta": 0.2},
+        {"R": 3.0, "t_panel": 1.7, "x_panel": 0.3},  # last panels cut at t_max, R
+    ])
+    def test_equals_per_panel_construction(self, kw):
+        # one Gauss-Legendre panel of 16 nodes between consecutive edges,
+        # each panel built on its own
+        p = {"R": 6.0, "delta": 0.08, "t_max": 80.0, "t_panel": 2.5,
+             "x_panel": 0.25, **kw}
+        xs, ws = [], []
+        t_edges = np.arange(1.0 / p["delta"], p["t_max"] + p["t_panel"], p["t_panel"])
+        for a, b in zip(t_edges[:-1], t_edges[1:]):
+            t, wt = panel_nodes(a, min(b, p["t_max"]), 1)
+            xs.append(1.0 / t)
+            ws.append(wt / (t * t))
+        edges = np.arange(p["delta"], p["R"] + p["x_panel"], p["x_panel"])
+        for a, b in zip(edges[:-1], edges[1:]):
+            x, w = panel_nodes(a, min(b, p["R"]), 1)
+            xs.append(x)
+            ws.append(w)
+        xp, wp = np.concatenate(xs), np.concatenate(ws)
+        grid = make_damped_grid(**kw)
+        assert np.array_equal(grid.nodes, np.concatenate([-xp[::-1], xp]))
+        assert np.array_equal(grid.weights, np.concatenate([wp[::-1], wp]))
 
     @pytest.mark.parametrize("kw", [
         {"delta": 7.0},
@@ -351,30 +374,3 @@ class TestSampleDamped:
         )
         with pytest.raises(NearSingular):
             sample_damped_dpp(bad, seed=0, n_draws=1)
-
-
-class TestBinaryExport:
-    def test_round_trip_bits(self, bulk_grid, tmp_path):
-        dp = damped_projection(HPParam(-0.4), 1.0, bulk_grid, 4)
-        path = str(tmp_path / "proj.bin")
-        write_projection_binary(path, dp)
-        back = read_projection_binary(path)
-        assert np.array_equal(back.matrix, dp.matrix)
-        assert np.array_equal(back.grid.nodes, bulk_grid.nodes)
-        assert np.array_equal(back.grid.weights, bulk_grid.weights)
-        assert back.param == dp.param
-        assert back.sigma == 1.0
-        assert back.m == 4
-        assert back.grid.R == bulk_grid.R
-
-    def test_header_is_plain_json(self, bulk_grid, tmp_path):
-        dp = damped_projection(HPParam(-0.4), 1.0, bulk_grid, 4)
-        path = str(tmp_path / "proj.bin")
-        write_projection_binary(path, dp)
-        with open(path + ".json") as f:
-            h = json.load(f)
-        n = bulk_grid.size
-        assert h["shape"] == [n, n]
-        assert h["dtype"] == "<f8"
-        assert h["order"] == "C"
-        assert h["s"] == -0.4

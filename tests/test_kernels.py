@@ -33,7 +33,6 @@ from hpkernels.kernels import (
     eval_limit_kernel,
     eval_phi_n,
     eval_V,
-    kernel_table_csv,
     limit_kernel_matrix,
     v_norm_sq_closed,
     v_norm_sq_quadrature,
@@ -482,17 +481,3 @@ class TestConvergenceProfile:
         gaps = [g for _, g in prof]
         # allow 20 percent slack on strict monotonicity
         assert all(b < 1.2 * a for a, b in zip(gaps, gaps[1:]))
-
-
-class TestCSV:
-    def test_round_trip(self):
-        xs = np.array([0.5, 1.0])
-        ys = np.array([0.25, -0.75])
-        k = build_finite_kernel(HPParam(0.5), 3)
-        K = k.kernel_matrix(xs, ys)
-        text = kernel_table_csv(K, xs, ys)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 5
-        x0, y0, v0 = lines[1].split(",")
-        assert float(v0) == K[0, 0]  # 17 significant digits round-trip

@@ -32,6 +32,7 @@ from hpkernels.sampling import (
     corner_summaries,
     mcmc_draws,
     read_sample_archive,
+    read_sample_sidecar,
     sample_hp_matrix_s0,
     sample_hp_matrix_s0_batch,
     sample_projection_dpp,
@@ -441,6 +442,22 @@ class TestArchive:
         path = os.path.join(tmp_path, "a.csv")
         write_sample_archive(path, [Configuration((1.0,))], SamplerConfig())
         assert os.path.exists(path + ".json")
+
+    def test_provenance_round_trip(self, tmp_path):
+        cfgs = [Configuration((0.5, -1.25)), Configuration((2.0, -0.75))]
+        sc = SamplerConfig(seed=7)
+        bare = os.path.join(tmp_path, "bare.csv")
+        write_sample_archive(bare, cfgs, sc)
+        assert read_sample_sidecar(bare + ".json") == (sc, None)
+        path = os.path.join(tmp_path, "run.csv")
+        write_sample_archive(path, cfgs, sc, s=0.5, N=2, runspec="sample N=2 s=0.5")
+        with open(path) as f:
+            assert f.readline() == "# runspec: sample N=2 s=0.5\n"
+        assert read_sample_sidecar(path + ".json") == (
+            sc, {"s": 0.5, "N": 2, "draws": 2, "runspec": "sample N=2 s=0.5"})
+        back, sc2 = read_sample_archive(path)
+        assert sc2 == sc
+        assert [c.points for c in back] == [c.points for c in cfgs]
 
     def test_exact_floats(self, tmp_path):
         pts = (1.0 / 3.0, -math.pi)
