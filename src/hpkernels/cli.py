@@ -27,7 +27,6 @@ from .errors import (
     DegreeError,
     DiscretizationWarning,
     DomainError,
-    EigenFailure,
     GridTooCoarse,
     MomentDivergence,
     NearSingular,
@@ -85,7 +84,6 @@ _RUNTIME_ERRORS = (
     MomentDivergence,
     DegreeError,
     GridTooCoarse,
-    EigenFailure,
     NearSingular,
     SingularCayley,
     QuadFailure,
@@ -180,6 +178,32 @@ _PARAMS = {
     },
 }
 
+# what each run reads besides jobs, out, config and its positional, by
+# command and by suite, kind, experiment name (the positional's choices, in
+# --help order) or sampling mode; a flag or config key outside its run's
+# entry is refused
+_SAMPLE_READS = ("s", "N", "method", "draws", "seed")
+_READS = {
+    "check": {"infinite": (), "kernels": ("s", "N"), "opuc": ("s", "N"), "specfun": ()},
+    "table": {"kernel": ("s", "N", "grid"), "weight": ("s", "N", "grid"),
+              "vfunction": ("s", "grid"), "phi_n": ("s", "n", "grid")},
+    "sample": {"spectral": _SAMPLE_READS,
+               "mcmc": (*_SAMPLE_READS, "burn_in", "thinning", "chains", "step_scale"),
+               "replay": ("replay",)},
+    "experiment": {"contraction": ("sprime", "sigma"), "gamma1": ("M", "draws", "seed"),
+                   "gamma2": ("s",), "tails": ("s",), "variance": ("s", "eps")},
+}
+_POSITIONAL = {"check": "suite", "table": "kind", "experiment": "name"}
+
+
+def _run_of(command: str, p: dict) -> str:
+    """The _READS entry of a run: its positional, or the sampling mode."""
+    if command != "sample":
+        return p[_POSITIONAL[command]]
+    if p["replay"] is not None:
+        return "replay"
+    return "mcmc" if p["method"] == "mcmc" else "spectral"
+
 
 def _read_config(path: str) -> dict:
     kv = {}
@@ -219,10 +243,12 @@ def _merge_runspec(args: argparse.Namespace) -> RunSpec:
                 raise SpecError(f"config key {name}: {e}") from e
         else:
             params[name] = default
-    if command == "check" and params["suite"] in _FIXED_SUITES:
-        given = [n for n in ("s", "N") if getattr(args, n, None) is not None or n in file_kv]
-        if given:
-            raise SpecError(f"suite {params['suite']} takes no {given[0]}")
+    run = _run_of(command, params)
+    reads = {_POSITIONAL.get(command), *_COMMON, *_READS[command][run]}
+    unread = [n for n in table
+              if n not in reads and (getattr(args, n, None) is not None or n in file_kv)]
+    if unread:
+        raise SpecError(f"{command} {run} takes no {', '.join(unread)}")
     return RunSpec(command, params)
 
 
@@ -290,7 +316,7 @@ def _validate(spec: RunSpec) -> None:
         name = p["name"]
         if name in ("gamma2", "tails", "variance"):
             _require_s(p, f"experiment {name}")
-        if name in ("gamma2", "variance"):
+        if name == "variance":
             _require(p["eps"] > 0, "eps > 0 required")
         if name == "contraction":
             _require(p["sprime"] > -0.5, "sprime > -1/2 required")
@@ -407,8 +433,6 @@ _SUITES = {
     "kernels": _suite_kernels,
     "infinite": _suite_infinite,
 }
-# suites whose checks run at fixed parameters and read neither s nor N
-_FIXED_SUITES = ("specfun", "infinite")
 
 
 def cmd_check(spec: RunSpec):
@@ -427,27 +451,31 @@ def cmd_table(spec: RunSpec):
     kind = p["kind"]
     grid = _parse_grid(p["grid"])
     param = HPParam(p["s"])
-    if kind == "kernel":
-        k = build_finite_kernel(param, p["N"])
-        K = k.kernel_matrix(grid, grid)
-        rows = ((float(x), float(y), float(K[i, j]))
-                for i, x in enumerate(grid) for j, y in enumerate(grid))
-        header = ["x", "y", "value"]
-    elif kind == "weight":
-        w = eval_line_weight(param, p["N"], grid)
-        rows = ((float(x), float(v)) for x, v in zip(grid, w))
-        header = ["x", "weight"]
-    elif kind == "vfunction":
-        v = VFunction(param, "limit")
-        vals = eval_V(v, grid)
-        rows = ((float(x), float(val)) for x, val in zip(grid, vals))
-        header = ["x", "V"]
-    else:  # phi_n
-        k = build_rescaled_circle_kernel(param, p["n"])
-        rows = ((float(a), float(b), float(np.real(ph)), float(np.imag(ph)))
-                for a in grid for b in grid
-                for ph in (eval_phi_n(k, float(a), float(b)),))
-        header = ["alpha", "beta", "re", "im"]
+    # every value is computed before the file is opened; a non-finite one
+    # (an overflow inside the evaluation) fails the run instead
+    with np.errstate(all="ignore"):
+        if kind == "kernel":
+            vals = build_finite_kernel(param, p["N"]).kernel_matrix(grid, grid)
+            rows = ((float(x), float(y), float(vals[i, j]))
+                    for i, x in enumerate(grid) for j, y in enumerate(grid))
+            header = ["x", "y", "value"]
+        elif kind == "weight":
+            vals = eval_line_weight(param, p["N"], grid)
+            rows = ((float(x), float(v)) for x, v in zip(grid, vals))
+            header = ["x", "weight"]
+        elif kind == "vfunction":
+            vals = eval_V(VFunction(param, "limit"), grid)
+            rows = ((float(x), float(v)) for x, v in zip(grid, vals))
+            header = ["x", "V"]
+        else:  # phi_n
+            k = build_rescaled_circle_kernel(param, p["n"])
+            vals = np.array([[eval_phi_n(k, float(a), float(b)) for b in grid] for a in grid])
+            rows = ((float(a), float(b), float(vals[i, j].real), float(vals[i, j].imag))
+                    for i, a in enumerate(grid) for j, b in enumerate(grid))
+            header = ["alpha", "beta", "re", "im"]
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise OverflowError(f"{bad} of {vals.size} {kind} values are not finite")
     path = _out_path(spec, f"table_{kind}.csv")
     n = _write_csv(path, spec, header, rows)
     report = {"command": "table", "kind": kind, "runspec": spec.provenance(),
@@ -464,7 +492,7 @@ def _canonical_method(m: str) -> str:
 
 def cmd_sample(spec: RunSpec):
     p = spec.params
-    if p["replay"]:
+    if p["replay"] is not None:
         try:
             cfg, side = read_sample_sidecar(p["replay"])
         except (OSError, ValueError, TypeError) as e:
@@ -620,14 +648,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hpk", description="ensemble kernels, samplers and experiments"
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    positional = {"suite": sorted(_SUITES),
-                  "kind": ["kernel", "weight", "vfunction", "phi_n"],
-                  "name": sorted(_EXPERIMENTS)}
     for command, table in _PARAMS.items():
         p = sub.add_parser(command, help=_HELP[command])
         for name, (cast, _) in table.items():
-            if name in positional:
-                p.add_argument(name, choices=positional[name])
+            if name == _POSITIONAL.get(command):
+                p.add_argument(name, choices=list(_READS[command]))
             else:
                 p.add_argument("--" + name.replace("_", "-"), type=cast, dest=name)
     return ap
@@ -658,10 +683,17 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     text = json.dumps(report, sort_keys=True)
-    print(text)
     out = spec.params.get("out")
     if out and spec.command in ("check", "experiment"):
         path = _out_path(spec, out)
         with io.open(path, "w", encoding="utf-8") as f:
             f.write(text + "\n")
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the
+        # interpreter's own flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if passed else 1

@@ -21,10 +21,6 @@ class GridTooCoarse(RuntimeError):
     """Discretization grid cannot carry the required spectral mass."""
 
 
-class EigenFailure(RuntimeError):
-    """Eigendecomposition failed or produced non-finite output."""
-
-
 class NearSingular(RuntimeError):
     """Matrix inversion requested too close to singularity."""
 

@@ -41,11 +41,7 @@ __all__ = [
     "RescaledCircleKernel",
     "LimitKernel",
     "VFunction",
-    "cayley",
-    "cayley_inverse",
-    "cayley_jacobian",
     "build_finite_kernel",
-    "eval_finite_kernel",
     "build_rescaled_circle_kernel",
     "eval_phi_n",
     "eval_limit_kernel",
@@ -59,32 +55,6 @@ __all__ = [
     "check_finite_recurrence",
     "convergence_profile",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Cayley correspondence
-
-
-def cayley(x):
-    """Angle theta in (-pi, pi) with e^{i theta} = (i-x)/(i+x); theta = 2 arctan x."""
-    return 2.0 * np.arctan(x)
-
-
-def cayley_inverse(theta):
-    """x = tan(theta/2), inverse of cayley on (-pi, pi)."""
-    return np.tan(np.asarray(theta) / 2.0)
-
-
-def cayley_jacobian(x):
-    """d theta/dx = 2/(1+x^2).
-
-    theta(x) = 2 arctan x is increasing, forced by the angle convention of
-    cayley (x=1 -> pi/2); density transports use the absolute value, so only
-    the magnitude is load-bearing.
-    """
-    xx = np.asarray(x, dtype=float)
-    out = 2.0 / (1.0 + xx * xx)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +129,6 @@ def build_finite_kernel(param: HPParam, N: int, route: str = "circle_cayley") ->
     if route == "line_direct":
         return FiniteKernel(param, N, route, monic=build_monic_line(param, N, N - 1))
     raise DomainError(f"unknown route {route!r}")
-
-
-def eval_finite_kernel(k: FiniteKernel, x: float, y: float) -> float:
-    """Kernel value at a point pair of R*; DomainError at 0."""
-    if x == 0.0 or y == 0.0:
-        raise DomainError("kernel is defined on R*")
-    return float(k.kernel_matrix([x], [y])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +477,12 @@ def check_finite_recurrence(s: float, N: int, x: float, y: float) -> float:
     kN = build_finite_kernel(HPParam(s), N, "circle_cayley")
     kM = build_finite_kernel(HPParam(s + 1.0), N - 1, "line_direct")
     sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
-    lhs = sx**N * sy**N * eval_finite_kernel(kN, x, y)
+    lhs = sx**N * sy**N * float(kN.kernel_matrix([x], [y])[0, 0])
     u, w = N * x / (N - 1.0), N * y / (N - 1.0)
     pi_small = (
         math.copysign(1.0, u) ** (N - 1)
         * math.copysign(1.0, w) ** (N - 1)
-        * eval_finite_kernel(kM, u, w)
+        * float(kM.kernel_matrix([u], [w])[0, 0])
     )
     v = VFunction(HPParam(s), "prelimit", N)
     rank1 = float(eval_V(v, x) * eval_V(v, y)) / v_norm_sq_closed(v)

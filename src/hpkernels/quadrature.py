@@ -1,4 +1,4 @@
-"""Shared quadrature helpers: panel Gauss-Legendre and double-exponential grids."""
+"""Shared quadrature helpers: compounded and graded Gauss-Legendre panels."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-__all__ = ["gauss_panels", "panel_nodes", "graded_nodes", "de_nodes"]
+__all__ = ["gauss_panels", "panel_nodes", "graded_nodes"]
 
 
 def gauss_panels(edges, n_nodes: int = 16):
@@ -39,17 +39,3 @@ def graded_nodes(b: float, levels: int, n_nodes: int = 16, density: float = 0.0)
              for lo, hi in zip([0.0, *bounds[:-1]], bounds)]
     return gauss_panels(np.append(np.concatenate(edges), bounds[-1]), n_nodes)
 
-
-def de_nodes(n: int, t_max: float = 4.2):
-    """Double-exponential (tanh-sinh) nodes/weights on (-1, 1).
-
-    Handles integrable algebraic endpoint singularities; n nodes on the
-    uniform t-grid [-t_max, t_max].
-    """
-    t = np.linspace(-t_max, t_max, n)
-    h = t[1] - t[0]
-    u = 0.5 * np.pi * np.sinh(t)
-    x = np.tanh(u)
-    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
-    keep = 1.0 - np.abs(x) > 1e-17  # drop nodes indistinguishable from the ends
-    return x[keep], w[keep]

@@ -3,8 +3,7 @@
 Three routes into the same family: an exact grid-discretized sampler for
 the projection kernel (sequential conditioning), a random-walk Metropolis
 chain on the unscaled ensemble, and the s=0 matrix-level construction via
-the unitary transform of a Haar matrix.  Corner extraction feeds the
-decomposition experiments.
+the unitary transform of a Haar matrix.  Archives store draws for replay.
 """
 
 from __future__ import annotations
@@ -19,28 +18,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EigenFailure,
-    GridTooCoarse,
-    NonConvergenceWarning,
-    SingularCayley,
-)
+from .errors import DomainError, GridTooCoarse, NonConvergenceWarning, SingularCayley
 from .kernels import FiniteKernel
 from .weights_opuc import CircleWeight, HPParam, eval_circle_weight
 
 __all__ = [
     "Configuration",
     "SamplerConfig",
-    "CornerSummary",
-    "sample_projection_dpp",
     "sample_projection_dpp_batch",
     "sequential_projection_draws",
     "sample_pseudo_jacobi_mcmc",
     "mcmc_draws",
-    "sample_hp_matrix_s0",
     "sample_hp_matrix_s0_batch",
-    "corner_summaries",
     "write_sample_archive",
     "read_sample_sidecar",
     "read_sample_archive",
@@ -60,9 +49,6 @@ class Configuration:
         if any(not math.isfinite(p) for p in pts):
             raise DomainError("non-finite point")
         object.__setattr__(self, "points", tuple(sorted(pts)))
-
-    def s2(self) -> float:
-        return float(sum(p * p for p in self.points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,17 +76,6 @@ class SamplerConfig:
             raise DomainError(f"unknown method {self.method!r}")
         if min(self.step_scale, self.burn_in, self.thinning, self.n_chains) <= 0:
             raise DomainError("chain parameters must be positive")
-
-
-@dataclass(frozen=True)
-class CornerSummary:
-    """Scaled corner spectrum split by sign, with trace summaries."""
-
-    N: int
-    a_plus: tuple
-    a_minus: tuple
-    c_N: float
-    d_N: float
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +195,6 @@ def sample_projection_dpp_batch(
     return sequential_projection_draws(Q, x, rng, n_draws)
 
 
-def sample_projection_dpp(k: FiniteKernel, cfg: SamplerConfig) -> Configuration:
-    """One exact draw of the rank-N projection process (grid-discretized)."""
-    pts = sample_projection_dpp_batch(k, cfg, 1)[0]
-    return Configuration(tuple(pts))
-
-
 # ---------------------------------------------------------------------------
 # Random-walk Metropolis on the unscaled ensemble
 
@@ -252,8 +221,8 @@ def sample_pseudo_jacobi_mcmc(
     receives the running acceptance_rate and step_scale.
     """
     s = param.s
-    if not isinstance(s, (int, float)) or s <= -0.5:
-        raise DomainError("MCMC targets the probability regime s > -1/2, s real")
+    if s <= -0.5:
+        raise DomainError("MCMC targets the probability regime s > -1/2")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     C = cfg.n_chains
     x = rng.standard_cauchy((C, N))
@@ -321,19 +290,6 @@ def _haar_unitary(M: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (d / np.abs(d))[None, :]
 
 
-def sample_hp_matrix_s0(M: int, cfg: SamplerConfig) -> np.ndarray:
-    """One Hermitian matrix whose spectrum follows the s=0 ensemble at N=M.
-
-    X = i(1+U)(1-U)^{-1} for Haar unitary U, symmetrized exactly.  The
-    measure-zero event of 1-U being numerically singular is retried a few
-    times before SingularCayley escapes.
-    """
-    if M < 1:
-        raise DomainError("M >= 1 required")
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    return _matrix_draw(M, rng)
-
-
 def _matrix_draw(M: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(5):
         U = _haar_unitary(M, rng)
@@ -349,38 +305,17 @@ def _matrix_draw(M: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_hp_matrix_s0_batch(M: int, cfg: SamplerConfig, n_draws: int) -> list:
-    """n_draws matrices from one seeded stream (deterministic order)."""
+    """n_draws Hermitian matrices, in order from one seeded stream, whose
+    spectra follow the s=0 ensemble at N=M.
+
+    X = i(1+U)(1-U)^{-1} for Haar unitary U, symmetrized exactly.  The
+    measure-zero event of 1-U being numerically singular is retried a few
+    times before SingularCayley escapes.
+    """
+    if M < 1:
+        raise DomainError("M >= 1 required")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return [_matrix_draw(M, rng) for _ in range(n_draws)]
-
-
-# ---------------------------------------------------------------------------
-# Corner spectra
-
-
-def corner_summaries(X: np.ndarray, N_list) -> list:
-    """Scaled corner spectra: for each N the eigenvalues of the upper-left
-    N x N corner divided by N, split by sign, with c = tr/N, d = tr(X^2)/N^2."""
-    X = np.asarray(X)
-    out = []
-    for N in N_list:
-        N = int(N)
-        if N < 1 or N > X.shape[0]:
-            raise DomainError(f"corner size {N} outside matrix dimension")
-        corner = X[:N, :N]
-        try:
-            ev = np.linalg.eigvalsh(corner)
-        except np.linalg.LinAlgError as e:
-            raise EigenFailure(str(e)) from e
-        if not np.all(np.isfinite(ev)):
-            raise EigenFailure("non-finite corner spectrum")
-        a = ev / N
-        a_plus = tuple(sorted((float(v) for v in a[a > 0]), reverse=True))
-        a_minus = tuple(sorted((float(-v) for v in a[a < 0]), reverse=True))
-        c = float(np.trace(corner).real) / N
-        d = float(np.sum(ev * ev)) / (N * N)
-        out.append(CornerSummary(N, a_plus, a_minus, c, d))
-    return out
 
 
 # ---------------------------------------------------------------------------

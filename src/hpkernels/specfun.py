@@ -4,12 +4,11 @@
 ``scipy.special`` that add the package's domain checks and error types.
 ``scipy.special`` is imported on first use rather than with the package:
 importing it about doubles the start-up time of every ``hpk`` command, and
-only the Bessel and complex-Gamma paths need it.
+only the Bessel path needs it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -25,25 +24,19 @@ __all__ = [
 ]
 
 
-def gamma_fn(z: complex | float) -> complex | float:
-    """Gamma function for real or complex argument.
+def gamma_fn(z: float) -> float:
+    """Gamma function of a real argument.
 
     Raises PoleError at non-positive integers and OverflowError when the
-    result exceeds the double range (real z > ~171.6).
+    result exceeds the double range (z > ~171.6).
     """
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == math.floor(zc.real):
+    if z <= 0.0 and z == math.floor(z):
         raise PoleError(f"gamma pole at z={z}")
-    if isinstance(z, complex):
-        from scipy.special import gamma
-
-        val = complex(gamma(zc))
-    else:
-        try:
-            val = math.gamma(zc.real)
-        except OverflowError:
-            val = math.inf
-    if not cmath.isfinite(val):
+    try:
+        val = math.gamma(z)
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
         raise OverflowError(f"gamma overflow at z={z}")
     return val
 

@@ -30,12 +30,9 @@ __all__ = [
     "MonicLineBasis",
     "eval_line_weight",
     "eval_circle_weight",
-    "weight_ratio_bound",
     "build_opuc",
     "cd_sum_circle",
     "cd_identity_residual",
-    "szego_extremal",
-    "golinskii_envelope",
     "build_monic_line",
     "trig_moment",
 ]
@@ -43,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HPParam:
-    """Ensemble parameter s with its shifted representative.
+    """Real ensemble parameter s with its shifted representative.
 
     n_s is the smallest non-negative integer with s + n_s > -1/2, so the
     shifted parameter s_prime = s + n_s always lies in (-1/2, 1/2] when
@@ -55,16 +52,13 @@ class HPParam:
     s_prime: float = field(init=False)
 
     def __post_init__(self):
-        # the shift count depends only on Re s
-        re = self.s.real if isinstance(self.s, complex) else self.s
-        n = 0 if re > -0.5 else math.ceil(-0.5 - re + 1e-15)
-        while re + n <= -0.5:  # guard the boundary s + n = -1/2 exactly
+        if isinstance(self.s, complex):
+            raise DomainError("s must be real")
+        n = 0 if self.s > -0.5 else math.ceil(-0.5 - self.s + 1e-15)
+        while self.s + n <= -0.5:  # guard the boundary s + n = -1/2 exactly
             n += 1
         object.__setattr__(self, "n_s", n)
         object.__setattr__(self, "s_prime", self.s + n)
-
-    def N_prime(self, N: int) -> int:
-        return N - self.n_s
 
 
 @dataclass(frozen=True)
@@ -113,36 +107,13 @@ def eval_circle_weight(w: CircleWeight, theta, normalized: bool = False):
     else:
         base = 4.0 * np.sin(tt / 2.0) ** 2
         at_sing = tt == 0.0
-    re_s = s.real if isinstance(s, complex) else s
-    if re_s < 0 and (np.any(at_sing) or np.any(base == 0.0)):
+    if s < 0 and (np.any(at_sing) or np.any(base == 0.0)):
         raise DomainError(f"weight singular at this angle for s={s}")
     base = np.where(at_sing, 0.0, base)  # pin the exact singular angle
     out = base**s
     if normalized:
         out = out * w.normalization()
     return float(out) if np.ndim(theta) == 0 else out
-
-
-def weight_ratio_bound(s: complex, a: float) -> float:
-    """Certified constant C with lambda^(a)/C <= |lambda^(s)| <= C lambda^(a).
-
-    The modulus of the complex-parameter weight is
-    (2 cos(theta/2))^(2 Re s) * exp(theta * Im s) on (-pi, pi), so the ratio
-    to the real-parameter weight is exp(theta * Im s), bounded by e^(pi |Im s|).
-    """
-    sc = complex(s)
-    if sc.real <= -0.5:
-        raise DomainError("weight ratio bound requires Re s > -1/2")
-    if a != sc.real:
-        raise DomainError("reference parameter a must equal Re s")
-    return math.exp(math.pi * abs(sc.imag))
-
-
-def complex_lambda_modulus(s: complex, theta) -> np.ndarray:
-    """|lambda^(s)(e^{i theta})| for complex s (grid verification helper)."""
-    sc = complex(s)
-    tt = np.asarray(theta, dtype=float)
-    return (2.0 * np.cos(tt / 2.0)) ** (2.0 * sc.real) * np.exp(tt * sc.imag)
 
 
 def trig_moment(param: HPParam, k: int, kind: str = "lambda") -> float:
@@ -169,9 +140,8 @@ def trig_moment(param: HPParam, k: int, kind: str = "lambda") -> float:
 class OPUCBasis:
     """Orthonormal polynomials p_0..p_{n-1} for a circle weight.
 
-    alpha holds the Verblunsky coefficients alpha_0..alpha_{n-2} (real for
-    real s); lead[k] = prod_{j<k} 1/rho_j > 0 is the leading coefficient of
-    p_k.  gram_residual is a diagnostic: the max-norm residual of
+    alpha holds the (real) Verblunsky coefficients alpha_0..alpha_{n-2}.
+    gram_residual is a diagnostic: the max-norm residual of
     C T C^H - I over the first min(n, 32) degrees, with C their float64
     coefficients from the recursion and T the Toeplitz matrix of the
     closed-form trigonometric moments.
@@ -181,7 +151,6 @@ class OPUCBasis:
     kind: str
     degree_count: int
     alpha: np.ndarray
-    lead: np.ndarray
     gram_residual: float
 
     def eval_all(self, z) -> np.ndarray:
@@ -229,13 +198,11 @@ def build_opuc(w: CircleWeight, n: int) -> OPUCBasis:
         alpha = np.where(k % 2 == 0, alpha, -alpha)
     else:
         alpha = -alpha
-    lead = np.concatenate(([1.0], np.cumprod(1.0 / np.sqrt(1.0 - alpha * alpha))))
     return OPUCBasis(
         param=w.param,
         kind=w.kind,
         degree_count=n,
         alpha=alpha,
-        lead=lead,
         gram_residual=_gram_residual(w.param, w.kind, alpha),
     )
 
@@ -270,36 +237,6 @@ def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> 
         1.0 - z * np.conj(wz)
     )
     return float(abs(direct - closed))
-
-
-def szego_extremal(
-    w: CircleWeight, N: int, theta: float, trial_count: int = 64, seed: int = 0
-) -> float:
-    """Best ratio |P(e^{i theta})|^2 / ||P||^2 over trial polynomials of
-    degree < N: random coefficient trials plus the reproducing-kernel trial,
-    which attains the supremum sum_{k<N} |p_k(e^{i theta})|^2."""
-    if w.param.s <= -0.5:
-        raise DomainError("szego_extremal requires s > -1/2")
-    basis = build_opuc(w, N)
-    v = basis.eval_all(np.exp(1j * theta))[0, :N]  # p_k at the target point
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    best = 0.0
-    for _ in range(trial_count):
-        c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        val = abs(np.vdot(c, v)) ** 2 / np.vdot(c, c).real
-        best = max(best, float(val))
-    # reproducing-kernel trial: c = conj coordinates of the point evaluation
-    best = max(best, float(np.sum(np.abs(v) ** 2)))
-    return best
-
-
-def golinskii_envelope(param: HPParam, n: int, theta):
-    """Envelope (|1+e^{i theta}| + 1/(n+1))^(-s) controlling |p_n| near the
-    singular angle (vectorized over theta)."""
-    tt = np.asarray(theta, dtype=float)
-    mod = np.abs(1.0 + np.exp(1j * tt))
-    out = (mod + 1.0 / (n + 1.0)) ** (-param.s)
-    return float(out) if np.ndim(theta) == 0 else out
 
 
 # ---------------------------------------------------------------------------

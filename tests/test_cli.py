@@ -132,6 +132,83 @@ class TestExitCodes:
         cfg.write_text("s = 0.5\n")
         assert main(["check", "specfun", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("argv, name, value", [
+        (["experiment", "gamma1"], "s", "5"),
+        (["experiment", "gamma2"], "eps", "1e-9"),
+        (["experiment", "contraction"], "s", "3"),
+        (["experiment", "tails"], "sigma", "7"),
+        (["experiment", "tails"], "M", "9"),
+        (["experiment", "tails"], "seed", "4"),
+        (["experiment", "variance"], "draws", "3"),
+        (["table", "vfunction"], "N", "3"),
+        (["table", "vfunction"], "n", "3"),
+        (["table", "kernel"], "n", "3"),
+        (["table", "weight"], "n", "3"),
+        (["table", "phi_n"], "N", "3"),
+        (["sample", "--replay", "a.csv.json"], "s", "0.5"),
+        (["sample", "--replay", "a.csv.json"], "N", "3"),
+        (["sample", "--replay", "a.csv.json"], "method", "mcmc"),
+        (["sample", "--replay", "a.csv.json"], "draws", "5"),
+        (["sample", "--replay", "a.csv.json"], "seed", "1"),
+        (["sample", "--replay", "a.csv.json"], "burn_in", "5"),
+        (["sample"], "burn_in", "5"),
+        (["sample", "--method", "spectral"], "thinning", "2"),
+        (["sample", "--method", "spectral_dpp"], "chains", "4"),
+        (["sample"], "step_scale", "0.3"),
+    ])
+    def test_unread_parameter_is_two(self, capsys, tmp_path, monkeypatch, form,
+                                     argv, name, value):
+        # a run refuses a parameter it would ignore, given as a flag or a config key
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path / "data"))
+        if form == "flag":
+            argv = [*argv, "--" + name.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = {value}\n")
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"takes no {name}" in captured.err
+        assert not (tmp_path / "data").exists()
+
+    def test_reads_table_covers_every_run(self):
+        assert set(cli._READS["check"]) == set(cli._SUITES)
+        assert set(cli._READS["experiment"]) == set(cli._EXPERIMENTS)
+        for command, runs in cli._READS.items():
+            for names in runs.values():
+                assert set(names) <= set(cli._PARAMS[command]) - set(cli._COMMON)
+
+    @pytest.mark.parametrize("s", ["150", "169.9"])
+    def test_non_finite_table_is_one_without_file(self, capsys, tmp_path, monkeypatch, s):
+        # 2^(s+1/2) Gamma(s+3/2) overflows while J_{s+1/2}(1/x) underflows
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["table", "vfunction", "--s", s]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "not finite" in lines[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_is_one_without_traceback(self):
+        src = os.path.dirname(os.path.dirname(hpkernels.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody reads the report
+        try:
+            r = subprocess.run([sys.executable, "-m", "hpkernels", "check", "specfun"],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env,
+                               text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert "Exception ignored" not in r.stderr
+
     @pytest.mark.parametrize("argv", [
         ["check", "specfun"], ["table", "weight"], ["sample"],
         ["experiment", "tails"],
@@ -516,10 +593,12 @@ def _argvs(draw):
     if _POSITIONAL[command]:
         argv.append(draw(st.sampled_from(_POSITIONAL[command])))
     names = draw(st.lists(st.sampled_from(_COMMAND_FLAGS[command]), unique=True))
-    if command == "sample" and "burn_in" not in names:
-        names.append("burn_in")
-    for name in names:
-        argv.append(f"--{name.replace('_', '-')}={draw(_FLAG_VALUES[name])}")
+    values = {name: draw(_FLAG_VALUES[name]) for name in names}
+    # a spectral run refuses --burn-in, so only an MCMC run is always given one
+    if values.get("method") == "mcmc" and "burn_in" not in values:
+        values["burn_in"] = draw(_FLAG_VALUES["burn_in"])
+    for name, value in values.items():
+        argv.append(f"--{name.replace('_', '-')}={value}")
     return [*argv, "--jobs=1"]
 
 

@@ -29,7 +29,7 @@ from hpkernels.quadrature import graded_nodes, panel_nodes
 from hpkernels.sampling import (
     Configuration,
     SamplerConfig,
-    sample_hp_matrix_s0,
+    sample_hp_matrix_s0_batch,
     sample_projection_dpp_batch,
 )
 from hpkernels.weights_opuc import CircleWeight, HPParam, build_opuc, cd_sum_circle
@@ -164,7 +164,7 @@ class TestPrincipalValueSums:
         assert r.hard[1] == r.tent[1]
 
     def test_sampled_configuration_agreement(self):
-        X = sample_hp_matrix_s0(64, SamplerConfig(seed=3))
+        X = sample_hp_matrix_s0_batch(64, SamplerConfig(seed=3), 1)[0]
         pts = np.linalg.eigvalsh(X) / 64
         report = principal_value_sums(Configuration(tuple(pts)), 12)
         ax = np.abs(pts)
@@ -328,7 +328,7 @@ class TestBalanceExperiment:
             assert truncated_sum(ev, 4) == c  # 1/16 below 1/N for N <= 8
 
     def test_stabilization_per_draw(self):
-        X = sample_hp_matrix_s0(16, SamplerConfig(seed=44))
+        X = sample_hp_matrix_s0_batch(16, SamplerConfig(seed=44), 1)[0]
         ev = np.linalg.eigvalsh(X) / 16
         nz = np.min(np.abs(ev))
         n_star = int(math.ceil(1.0 / math.sqrt(nz))) + 1

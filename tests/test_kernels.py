@@ -22,14 +22,10 @@ from hpkernels.kernels import (
     VFunction,
     build_finite_kernel,
     build_rescaled_circle_kernel,
-    cayley,
-    cayley_inverse,
-    cayley_jacobian,
     check_finite_recurrence,
     check_limit_recurrence,
     check_projection,
     convergence_profile,
-    eval_finite_kernel,
     eval_limit_kernel,
     eval_phi_n,
     eval_V,
@@ -37,7 +33,7 @@ from hpkernels.kernels import (
     v_norm_sq_closed,
     v_norm_sq_quadrature,
 )
-from hpkernels.quadrature import de_nodes
+from oracles import de_nodes
 from hpkernels.weights_opuc import HPParam, eval_line_weight
 
 # frozen references (40-digit offline generator)
@@ -56,45 +52,20 @@ V_LIM_S05 = "0.9995330489689080081001110470353"  # s=0.5 at x=0.9
 V_PRE_S05_N4 = "1.3054459303776500098312674556371"  # s=0.5 N=4 at x=0.6
 
 
-class TestCayley:
-    def test_anchor_angles(self):
-        assert cayley(0.0) == 0.0
-        assert cayley(1.0) == pytest.approx(math.pi / 2, rel=1e-15)
-        assert cayley(-1.0) == pytest.approx(-math.pi / 2, rel=1e-15)
-
-    def test_unit_modulus_map(self):
-        x = np.linspace(-5.0, 5.0, 41)
-        z = (1j - x) / (1j + x)
-        np.testing.assert_allclose(np.angle(z), cayley(x), rtol=0, atol=1e-14)
-
-    def test_jacobian(self):
-        assert cayley_jacobian(0.0) == 2.0
-        assert cayley_jacobian(1.0) == 1.0
-        x = np.linspace(-3, 3, 13)
-        h = 1e-6
-        num = (cayley(x + h) - cayley(x - h)) / (2 * h)
-        np.testing.assert_allclose(num, cayley_jacobian(x), rtol=1e-8)
-
-    @given(st.floats(-50.0, 50.0))
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip(self, x):
-        assert cayley_inverse(cayley(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-
 class TestFiniteKernel:
     @pytest.mark.parametrize("route", ["circle_cayley", "line_direct"])
     def test_frozen_value_s0(self, route):
         k = build_finite_kernel(HPParam(0.0), 2, route)
-        got = eval_finite_kernel(k, 0.5, 1.0)
+        got = float(k.kernel_matrix([0.5], [1.0])[0, 0])
         assert got == pytest.approx(float(K_S0_N2), rel=1e-14)
 
     @pytest.mark.parametrize("route", ["circle_cayley", "line_direct"])
     def test_frozen_values_s1(self, route):
         k = build_finite_kernel(HPParam(1.0), 3, route)
-        assert eval_finite_kernel(k, 0.7, -0.4) == pytest.approx(
+        assert float(k.kernel_matrix([0.7], [-0.4])[0, 0]) == pytest.approx(
             float(K_S1_N3_OFF), rel=1e-13
         )
-        assert eval_finite_kernel(k, 0.25, 0.25) == pytest.approx(
+        assert float(k.kernel_matrix([0.25], [0.25])[0, 0]) == pytest.approx(
             float(K_S1_N3_DIAG), rel=1e-13
         )
 
@@ -155,7 +126,7 @@ class TestFiniteKernel:
         fx = k.feature_matrix([x])[0]
         fy = k.feature_matrix([y])[0]
         lhs = (fx @ G @ fy.conj()).real
-        rhs = eval_finite_kernel(k, x, y)
+        rhs = float(k.kernel_matrix([x], [y])[0, 0])
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_rank(self):
@@ -174,7 +145,7 @@ class TestFiniteKernel:
     def test_domain_errors(self):
         k = build_finite_kernel(HPParam(0.5), 3)
         with pytest.raises(DomainError):
-            eval_finite_kernel(k, 0.0, 1.0)
+            k.kernel_matrix([0.0], [1.0])
         with pytest.raises(DomainError):
             build_finite_kernel(HPParam(-0.7), 3)
         with pytest.raises(DomainError):
@@ -191,7 +162,7 @@ class TestDensityTransport:
         ratios = []
         for _ in range(6):
             x = rng.standard_cauchy(N)
-            th = cayley(x)
+            th = 2.0 * np.arctan(x)  # e^{i theta} = (i - x)/(i + x)
             vand_line = 1.0
             vand_circ = 1.0
             for i in range(N):
@@ -200,7 +171,7 @@ class TestDensityTransport:
                     vand_circ *= abs(np.exp(1j * th[i]) - np.exp(1j * th[j])) ** 2
             wl = np.prod((1.0 + x**2) ** (-(s + N)))
             wc = np.prod((2.0 + 2.0 * np.cos(th)) ** s)
-            jac = np.prod(cayley_jacobian(x))
+            jac = np.prod(2.0 / (1.0 + x * x))  # d theta/dx
             ratios.append((vand_circ * wc * jac) / (vand_line * wl))
         ratios = np.array(ratios)
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-10

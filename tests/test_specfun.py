@@ -26,11 +26,6 @@ GAMMA_REAL = [
     (-3.2, "0.68905641200597974291922404016836"),
 ]
 
-GAMMA_COMPLEX = [
-    (0.5 + 1.5j, "0.1544309761869628434039477520276", "-0.18052756337372853947152041013405"),
-    (-1.3 + 0.4j, "1.0886618631201538695233044476968", "1.1127803316768321465186941343014"),
-]
-
 BESSEL = [
     (0.0, 0.5, "0.93846980724081290422840467359971"),
     (0.0, 8.3, "0.096006100895010426326267224074734"),
@@ -50,12 +45,6 @@ BESSEL = [
 @pytest.mark.parametrize("z,ref", GAMMA_REAL)
 def test_gamma_real_points(z, ref):
     assert abs(gamma_fn(z) - float(ref)) <= 1e-13 * abs(float(ref))
-
-
-@pytest.mark.parametrize("z,re,im", GAMMA_COMPLEX)
-def test_gamma_complex_points(z, re, im):
-    ref = complex(float(re), float(im))
-    assert abs(gamma_fn(z) - ref) <= 1e-12 * abs(ref)
 
 
 def test_gamma_poles_raise():
