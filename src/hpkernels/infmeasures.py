@@ -213,13 +213,15 @@ def contraction_norm(s_prime: float, sigma: float, grid: DampedGrid,
 @dataclass(frozen=True)
 class DampedProjectionGrid:
     """Grid matrix of the orthogonal projection onto
-    sqrt(g) (span of m proxy-kernel modes + the n_s v-functions)."""
+    sqrt(g) (span of m proxy-kernel modes + the n_s v-functions), and the
+    orthonormal columns basis it is built from (matrix = basis basis^T)."""
 
     param: HPParam
     sigma: float
     grid: DampedGrid
     m: int
     matrix: np.ndarray
+    basis: np.ndarray
 
     @property
     def rank(self) -> int:
@@ -281,7 +283,8 @@ def damped_projection(param: HPParam, sigma: float, grid: DampedGrid,
     P = C @ C.T
     for extra in cols[1:]:
         P = P + np.outer(extra, extra)
-    return DampedProjectionGrid(param, float(sigma), grid, int(m), P)
+    return DampedProjectionGrid(param, float(sigma), grid, int(m), P,
+                                np.column_stack(cols))
 
 
 def s2_functional(config, sigma: float):
@@ -300,28 +303,13 @@ def damped_dpp_diagonal(param: HPParam, sigma: float, grid: DampedGrid,
     return np.diagonal(dp.matrix) / dp.grid.weights
 
 
-def _range_basis(dp: DampedProjectionGrid) -> np.ndarray:
-    """Orthonormal columns Q with Q Q^T = P for the rank-r projection P.
-
-    Rayleigh-Ritz on a range sketch: Y = qr(P G) for a Gaussian G of width
-    r (fixed key, so Q depends only on P), then Q = Y W with W the
-    eigenvectors of Y^T P Y.  O(n^2 r) instead of a dense n x n eigh.  The
-    Ritz values are P's eigenvalues on its range, all 1 for a projection;
-    NearSingular if any is below 1/2.
-    """
-    P = dp.matrix
-    r = dp.rank
-    G = np.random.Generator(np.random.Philox(key=0)).standard_normal((len(P), r))
-    Y, _ = np.linalg.qr(P @ G)
-    lam, W = np.linalg.eigh(Y.T @ P @ Y)
-    if np.any(lam < 0.5):
-        raise NearSingular("projection eigenvalues drifted from 1")
-    return Y @ W
-
-
 def sample_damped_dpp(dp: DampedProjectionGrid, seed: int, n_draws: int) -> np.ndarray:
-    """Exact draws of the rank-(m+n_s) damped process on the grid: an
-    orthonormal basis of the projection's range feeds the same sequential
-    conditioning used for the finite-N samplers."""
+    """Exact draws of the rank-(m+n_s) damped process on the grid: the
+    projection's orthonormal basis feeds the same sequential conditioning
+    used for the finite-N samplers.  NearSingular if the basis has drifted
+    from orthonormal."""
+    Q = dp.basis
+    if float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])))) > 1e-8:
+        raise NearSingular("damped projection basis is not orthonormal")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return sequential_projection_draws(_range_basis(dp), dp.grid.nodes, rng, n_draws)
+    return sequential_projection_draws(Q, dp.grid.nodes, rng, n_draws)

@@ -29,7 +29,6 @@ from hpkernels.kernels import (
     v_norm_sq_quadrature,
 )
 from hpkernels.sampling import (
-    Configuration,
     SamplerConfig,
     mcmc_draws,
     sample_hp_matrix_s0_batch,
@@ -37,8 +36,8 @@ from hpkernels.sampling import (
 )
 from hpkernels.ergodics import (
     circle_moment_JN,
+    cutoff_sums,
     gamma1_balance_experiment,
-    principal_value_sums,
     rho1_second_moment,
     tail_mass,
     variance_bound_check,
@@ -254,12 +253,12 @@ def test_c11_balance_trend_and_stabilization():
 
         pts = sample_projection_dpp_batch(
             build_finite_kernel(HPParam(0.0), 8), SamplerConfig(seed=3), 1)[0]
-        cfg = Configuration(tuple(pts))
         n0 = math.ceil(1.0 / math.sqrt(min(abs(x) for x in pts))) + 1
-        sums = principal_value_sums(cfg, n0 + 6)
-        tail = sums.hard[n0 - 1:]
+        hard, tent = cutoff_sums(pts, range(1, n0 + 7))
+        tail = hard[n0 - 1:]
         assert len(set(tail)) == 1  # stabilization is exact, not approximate
         assert tail[-1] == sum(pts)
+        assert set(tent[n0 - 1:]) == set(tail)  # the tent family lands there too
 
 
 def test_c12_infinite_regime():

@@ -59,6 +59,29 @@ class TestExitCodes:
     def test_negative_eps_is_two(self):
         assert main(["experiment", "variance", "--eps", "-0.1"]) == 2
 
+    @pytest.mark.parametrize("argv, code", [
+        (["experiment", "variance", "--eps", "1e3"], 0),
+        (["experiment", "variance", "--eps", "1000.5"], 2),
+        (["experiment", "variance", "--eps", "1e6"], 2),
+        (["experiment", "variance", "--eps", "1e300"], 2),
+        (["experiment", "contraction", "--sprime", "511"], 0),
+        (["experiment", "contraction", "--sprime", "600"], 2),
+        (["experiment", "contraction", "--sprime", "1e5"], 2),
+        (["experiment", "contraction", "--sprime", "1e300"], 2),
+    ])
+    def test_experiment_parameter_upper_bounds(self, capsys, argv, code):
+        # past eps = 1000 the variance windows outgrow memory; past
+        # sprime = 512 the circle weight's 4^s overflows
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert json.loads(captured.out)["passed"] is True
+
     @pytest.mark.parametrize("flag", [["--s", "inf"], ["--s=-inf"], ["--s", "nan"]])
     def test_non_finite_float_is_two(self, capsys, flag):
         assert main(["experiment", "gamma2", *flag]) == 2
@@ -506,8 +529,10 @@ class TestExperiments:
         assert rc == 0
         assert rep["passed"] is True
         assert len(rep["diagonal_medians"]) == 3
+        assert len(rep["diagonal_tent_medians"]) == 3
         assert isinstance(rep["diagonal_decreasing"], bool)
         assert len(rep["report"]["cells"]) == 9
+        assert all("median_tent_gap" in c for c in rep["report"]["cells"])
 
     def test_contraction_below_one(self, capsys):
         rc, rep = run(capsys, ["experiment", "contraction", "--sprime", "0.2",

@@ -1,4 +1,5 @@
-"""Decomposition data model, balancedness sums, uniform moment estimates."""
+"""Principal-value sums, uniform moment estimates, variance bounds and the
+corner-trace balance experiment."""
 
 import json
 import math
@@ -10,24 +11,18 @@ from hypothesis import strategies as st
 
 from hpkernels import ergodics
 from hpkernels.ergodics import (
-    BalanceReport,
-    OmegaPoint,
-    char_function,
     circle_moment_JN,
+    cutoff_sums,
     gamma1_balance_experiment,
     limit_tail_mass,
-    principal_value_sums,
     rho1_second_moment,
     tail_mass,
-    tent,
-    truncated_sum,
     variance_bound_check,
 )
 from hpkernels.errors import DomainError
 from hpkernels.kernels import LimitKernel, build_finite_kernel, eval_limit_kernel
 from hpkernels.quadrature import graded_nodes, panel_nodes
 from hpkernels.sampling import (
-    Configuration,
     SamplerConfig,
     sample_hp_matrix_s0_batch,
     sample_projection_dpp_batch,
@@ -35,147 +30,96 @@ from hpkernels.sampling import (
 from hpkernels.weights_opuc import CircleWeight, HPParam, build_opuc, cd_sum_circle
 
 
-def make_omega(plus, minus, extra_mass=0.0, gamma1=0.0):
-    sq = sum(a * a for a in plus) + sum(a * a for a in minus)
-    return OmegaPoint(tuple(plus), tuple(minus), gamma1, sq + extra_mass)
-
-
-class TestOmegaPoint:
-    def test_gamma2_derived(self):
-        w = OmegaPoint((1.0,), (2.0,), 0.0, 6.0)
-        assert w.gamma2 == 1.0
-
-    def test_zero_entries_dropped(self):
-        assert OmegaPoint((1.0, 0.0, 0.0), (), 0.0, 1.0) == OmegaPoint((1.0,), (), 0.0, 1.0)
-
-    def test_points_signed_merge(self):
-        w = OmegaPoint((2.0, 0.5), (1.5,), 0.0, 10.0)
-        assert w.points() == (-1.5, 0.5, 2.0)
-
-    @pytest.mark.parametrize("kw", [
-        {"alpha_plus": (-1.0,)},
-        {"alpha_plus": (0.5, 1.0)},
-        {"alpha_minus": (float("nan"),)},
-        {"delta": -0.1},
-        {"delta": 0.5, "alpha_plus": (1.0,)},
-        {"gamma1": float("inf")},
-    ])
-    def test_invalid(self, kw):
-        base = {"alpha_plus": (), "alpha_minus": (), "gamma1": 0.0, "delta": 1.0}
-        base.update(kw)
-        with pytest.raises(DomainError):
-            OmegaPoint(**base)
-
-    def test_normal_form_equality(self):
-        # injectivity surrogate: equal configurations, equal points
-        a = OmegaPoint.from_configuration(Configuration((0.5, -1.25, 2.0)))
-        b = OmegaPoint.from_configuration(Configuration((2.0, 0.5, -1.25)))
-        assert a == b
-        assert a.gamma2 == 0.0
-        assert a.points() == (-1.25, 0.5, 2.0)
-
-
-class TestCharFunction:
-    def test_pure_drift(self):
-        w = OmegaPoint((), (), 2.5, 0.0)
-        t = 1.3
-        assert char_function(w, t) == pytest.approx(np.exp(1j * 2.5 * t), abs=1e-15)
-
-    def test_single_alpha_quotient(self):
-        a, t = 0.7, 2.0
-        w = OmegaPoint((a,), (), a, a * a)
-        assert char_function(w, t) == pytest.approx(1.0 / (1.0 - 1j * a * t), abs=1e-14)
-
-    def test_pure_gaussian(self):
-        w = OmegaPoint((), (), 0.0, 1.5)
-        t = 0.8
-        assert char_function(w, t) == pytest.approx(math.exp(-1.5 * t * t), abs=1e-15)
-
-    def test_product_over_arguments(self):
-        w = make_omega((1.0, 0.25), (0.5,), extra_mass=0.3, gamma1=-0.7)
-        rs = (0.4, -1.1, 2.2)
-        prod = np.prod([char_function(w, r) for r in rs])
-        assert char_function(w, rs) == pytest.approx(prod, rel=1e-13)
-
-    @given(
-        st.lists(st.floats(0.01, 5.0), max_size=4),
-        st.lists(st.floats(0.01, 5.0), max_size=4),
-        st.floats(0.0, 3.0),
-        st.floats(-4.0, 4.0),
-        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_modulus_at_most_one(self, plus, minus, extra, g1, rs):
-        plus = sorted(plus, reverse=True)
-        minus = sorted(minus, reverse=True)
-        w = make_omega(plus, minus, extra_mass=extra, gamma1=g1)
-        assert abs(char_function(w, rs)) <= 1.0 + 1e-12
-
-
 class TestTent:
+    """The tent window, read off one-point configurations: tent sum / x."""
+
     def test_boundary_values(self):
-        assert tent(2, 1.0 / 8.0) == 0.0
-        assert tent(2, 3.0 / 16.0) == 0.5
-        assert tent(2, 0.5) == 1.0
+        xs = np.array([1.0 / 8.0, 3.0 / 16.0, 0.5])
+        _, tent = cutoff_sums(xs[:, None], [2])
+        assert list(tent[:, 0] / xs) == [0.0, 0.5, 1.0]
 
     def test_even_and_vectorized(self):
         xs = np.array([-0.5, -3.0 / 16.0, 0.0, 3.0 / 16.0, 0.5])
-        vals = tent(2, xs)
-        assert np.array_equal(vals, vals[::-1])
-        assert vals[2] == 0.0
+        hard, tent = cutoff_sums(xs[:, None], [2])
+        assert tent.shape == hard.shape == (5, 1)
+        assert np.array_equal(tent[:, 0], -tent[::-1, 0])
+        assert tent[2, 0] == 0.0
 
     @given(st.integers(1, 50), st.floats(-10, 10))
     @settings(max_examples=100, deadline=None)
     def test_range(self, n, x):
-        v = tent(n, x)
-        assert 0.0 <= v <= 1.0
+        _, tent = cutoff_sums([x], [n])
+        v = tent[0]
+        assert abs(v) <= abs(x) and v * x >= 0.0  # window in [0, 1]
 
     def test_bad_index(self):
         with pytest.raises(DomainError):
-            tent(0, 0.5)
+            cutoff_sums([0.5], [0])
+        with pytest.raises(DomainError):
+            cutoff_sums([0.5], [2, 0])
 
 
 class TestPrincipalValueSums:
     def test_symmetric_pair_vanishes(self):
-        r = principal_value_sums(Configuration((1.0, -1.0)), 6)
-        assert all(v == 0.0 for v in r.hard)
-        assert all(v == 0.0 for v in r.tent)
+        hard, tent = cutoff_sums((1.0, -1.0), range(1, 7))
+        assert all(v == 0.0 for v in hard)
+        assert all(v == 0.0 for v in tent)
 
     def test_threshold_arithmetic(self):
-        r = principal_value_sums(Configuration((0.5, 0.01)), 12)
-        assert r.hard[4] == 0.5  # n=5: 1/25 = 0.04 > 0.01
-        assert r.hard[9] == 0.51  # n=10: 1/100 = 0.01, closed cutoff
-        assert r.hard[-1] == 0.51
+        hard, _ = cutoff_sums((0.01, 0.5), range(1, 13))
+        assert hard[4] == 0.5  # n=5: 1/25 = 0.04 > 0.01
+        assert hard[9] == 0.51  # n=10: 1/100 = 0.01, closed cutoff
+        assert hard[-1] == 0.51
 
     def test_stabilization(self):
-        cfg = Configuration((0.3, -0.2, 0.07))
-        r = principal_value_sums(cfg, 10)
+        pts = (-0.2, 0.07, 0.3)
+        hard, tent = cutoff_sums(pts, range(1, 11))
         # 1/n^2 < 0.07 from n=4 on: the sums sit at the full sum
-        full = math.fsum(cfg.points)
-        assert r.hard[-1] == pytest.approx(full, abs=1e-15)
-        assert r.tent[-1] == pytest.approx(full, abs=1e-15)
-        assert r.stabilized()
-        assert r.hard_diffs()[-1] == 0.0
+        full = math.fsum(pts)
+        assert hard[-1] == pytest.approx(full, abs=1e-15)
+        assert tent[-1] == pytest.approx(full, abs=1e-15)
+        assert hard[-1] == hard[-2] and tent[-1] == tent[-2]
 
     def test_hard_tent_agree_off_ramp(self):
         # no point of the configuration lies in [1/(2 n^2), 1/n^2] for n=2
-        cfg = Configuration((0.5, -0.3, 0.05))
-        r = principal_value_sums(cfg, 3)
-        assert r.hard[1] == r.tent[1]
+        hard, tent = cutoff_sums((-0.3, 0.05, 0.5), [1, 2, 3])
+        assert hard[1] == tent[1]
 
     def test_sampled_configuration_agreement(self):
         X = sample_hp_matrix_s0_batch(64, SamplerConfig(seed=3), 1)[0]
         pts = np.linalg.eigvalsh(X) / 64
-        report = principal_value_sums(Configuration(tuple(pts)), 12)
+        ns = range(1, 13)
+        hard, tent = cutoff_sums(pts, ns)
         ax = np.abs(pts)
-        for i, n in enumerate(report.ns):
+        for i, n in enumerate(ns):
             lo, hi = 1.0 / (2.0 * n * n), 1.0 / (n * n)
             if not np.any((ax >= lo) & (ax <= hi)):
-                assert report.hard[i] == report.tent[i]
+                assert hard[i] == tent[i]
 
-    def test_small_n_max(self):
-        with pytest.raises(DomainError):
-            principal_value_sums(Configuration((1.0,)), 1)
+    def test_batch_rows_match_single_configurations(self):
+        X = sample_hp_matrix_s0_batch(16, SamplerConfig(seed=5), 4)
+        pts = np.linalg.eigvalsh(X) / 16
+        hard, tent = cutoff_sums(pts, [1, 3, 9])
+        assert hard.shape == tent.shape == (4, 3)
+        for row, h, t in zip(pts, hard, tent):
+            h1, t1 = cutoff_sums(row, [1, 3, 9])
+            assert np.array_equal(h, h1) and np.array_equal(t, t1)
+
+    def test_hard_sum_in_point_order(self):
+        # a running sum, term by term in the given order, like a plain loop
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal(300) * 10.0 ** rng.integers(-4, 3, 300)
+        hard, _ = cutoff_sums(pts, [1, 4, 30])
+        for h, n in zip(hard, [1, 4, 30]):
+            tot = 0.0
+            for p in pts:
+                if abs(p) >= 1.0 / (n * n):
+                    tot += p
+            assert h == tot
+
+    def test_empty_configuration(self):
+        hard, tent = cutoff_sums(np.zeros(0), [1, 2])
+        assert list(hard) == list(tent) == [0.0, 0.0]
 
 
 class TestSecondMoment:
@@ -289,6 +233,22 @@ class TestVarianceBound:
         assert abs(T - T_ref) <= 1e-12 * abs(T_ref)
         assert abs(bound - bound_ref) <= 1e-12 * abs(bound_ref)
 
+    @pytest.mark.parametrize("s, N, eps", [
+        (0.0, 6, 0.2), (0.5, 12, 0.4), (-0.3, 12, 0.8), (1.0, 40, 0.3),
+    ])
+    def test_gram_form_matches_dense_kernel(self, s, N, eps):
+        # reference: the nodes x nodes kernel matrix, cross = (w x)^T (K*K) (w x)
+        k = build_finite_kernel(HPParam(s), N)
+        xh, wh = ergodics._half_window_nodes(eps, N, levels=10, order=16)
+        x = np.concatenate([-xh[::-1], xh])
+        w = np.concatenate([wh[::-1], wh])
+        diag = float(np.sum(w * x * x * k.rho1(x)))
+        K = k.kernel_matrix(x, x)
+        T_ref = diag - float((w * x) @ (K * K) @ (w * x))
+        T, bound = variance_bound_check(HPParam(s), N, eps)
+        assert bound == 2.0 * diag
+        assert abs(T - T_ref) <= 1e-12 * abs(T_ref)
+
     def test_first_moment_vanishes(self):
         # evenness kills the window first moment
         k = build_finite_kernel(HPParam(0.0), 6)
@@ -325,7 +285,7 @@ class TestBalanceExperiment:
             ev = np.linalg.eigvalsh(X[:N, :N]) / N
             c = float(np.trace(X[:N, :N]).real) / N
             assert c in (0.0, 1.0 / N)
-            assert truncated_sum(ev, 4) == c  # 1/16 below 1/N for N <= 8
+            assert cutoff_sums(ev, [4])[0][0] == c  # 1/16 below 1/N for N <= 8
 
     def test_stabilization_per_draw(self):
         X = sample_hp_matrix_s0_batch(16, SamplerConfig(seed=44), 1)[0]
@@ -333,14 +293,27 @@ class TestBalanceExperiment:
         nz = np.min(np.abs(ev))
         n_star = int(math.ceil(1.0 / math.sqrt(nz))) + 1
         full = float(np.sum(ev))
-        assert truncated_sum(ev, n_star) == pytest.approx(full, abs=1e-14)
-        assert truncated_sum(ev, n_star + 3) == pytest.approx(full, abs=1e-14)
+        hard, _ = cutoff_sums(ev, [n_star, n_star + 3])
+        assert hard[0] == pytest.approx(full, abs=1e-14)
+        assert hard[1] == pytest.approx(full, abs=1e-14)
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
             gamma1_balance_experiment(8, [9], [2], draws=1)
         with pytest.raises(DomainError):
             gamma1_balance_experiment(8, [4], [2], draws=0)
+
+    def test_every_cell_carries_tent_gap(self):
+        rep = gamma1_balance_experiment(8, [4, 8], [2, 5], draws=3, seed=1)
+        assert "R" not in rep["params"]
+        Xs = sample_hp_matrix_s0_batch(8, SamplerConfig(seed=1), 3)
+        for cell in rep["cells"]:
+            N, n = cell["N"], cell["n"]
+            c = np.array([np.trace(X[:N, :N]).real / N for X in Xs])
+            ev = np.array([np.linalg.eigvalsh(X[:N, :N]) / N for X in Xs])
+            _, tent = cutoff_sums(ev, [n])
+            assert cell["median_tent_gap"] == pytest.approx(
+                float(np.median(np.abs(c - tent[:, 0]))), rel=1e-12, abs=1e-15)
 
     def test_json_csv_output(self):
         rep = gamma1_balance_experiment(8, [4, 8], [2], draws=3, seed=1)

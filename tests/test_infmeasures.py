@@ -12,7 +12,6 @@ from hpkernels.infmeasures import (
     DampedProjectionGrid,
     VBasis,
     _kernel_eigenbasis,
-    _range_basis,
     contraction_norm,
     damped_dpp_diagonal,
     damped_projection,
@@ -355,7 +354,7 @@ class TestSampleDamped:
         assert np.array_equal(draws_s1, again)
 
     def test_range_basis_reproduces_projection(self, dp_s1):
-        Q = _range_basis(dp_s1)
+        Q = dp_s1.basis
         assert Q.shape == (dp_s1.grid.size, dp_s1.rank)
         assert float(np.max(np.abs(Q.T @ Q - np.eye(dp_s1.rank)))) < 1e-13
         assert float(np.max(np.abs(Q @ Q.T - dp_s1.matrix))) < 1e-13
@@ -370,7 +369,7 @@ class TestSampleDamped:
 
     def test_corrupt_projection_rejected(self, grid, dp_s1):
         bad = DampedProjectionGrid(
-            HPParam(-1.0), 1.0, grid, 20, 0.3 * dp_s1.matrix
+            HPParam(-1.0), 1.0, grid, 20, dp_s1.matrix, 0.3 * dp_s1.basis
         )
         with pytest.raises(NearSingular):
             sample_damped_dpp(bad, seed=0, n_draws=1)

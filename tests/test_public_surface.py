@@ -19,10 +19,6 @@ USERS = MODULES + sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))) + sorte
 ALLOWED = {
     "cd_sum_circle": "the direct Christoffel-Darboux sum; the tests' reference "
                      "for circle_moment_JN",
-    "char_function": "the characteristic function of the decomposition "
-                     "parameters; its fate is decided with the balance theorem",
-    "principal_value_sums": "used by c11 of the acceptance gate; its fate is "
-                            "decided with the balance theorem",
     "s2_functional": "the s <= -1/2 functional; it either becomes an "
                      "importance-weight check of the damping or goes",
 }

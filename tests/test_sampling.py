@@ -17,7 +17,7 @@ from scipy import stats
 
 from hpkernels import sampling
 from hpkernels.errors import DomainError, GridTooCoarse, NonConvergenceWarning
-from hpkernels.infmeasures import _range_basis, damped_projection, make_damped_grid
+from hpkernels.infmeasures import damped_projection, make_damped_grid
 from hpkernels.kernels import build_finite_kernel
 from hpkernels.quadrature import panel_nodes
 from hpkernels.sampling import (
@@ -210,7 +210,7 @@ def circle_grid():
 @pytest.fixture(scope="module")
 def damped_basis():
     dp = damped_projection(HPParam(-1.0), 1.0, make_damped_grid(), 20)
-    return dp.grid.nodes, _range_basis(dp)
+    return dp.grid.nodes, dp.basis
 
 
 class TestBatchedDraws:
