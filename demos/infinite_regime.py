@@ -13,7 +13,6 @@ from hpkernels.weights_opuc import HPParam
 from hpkernels.infmeasures import (
     VBasis,
     contraction_norm,
-    damped_dpp_diagonal,
     damped_projection,
     growth_certificate,
     make_damped_grid,
@@ -45,9 +44,8 @@ def main():
     print(f"\ndamped projection at s = -1, 20 interior modes:")
     print(f"  rank = {dp.rank}, trace = {dp.trace():.6f}")
     print(f"  idempotency residual = {dp.idempotency_residual():.3e}")
-    print(f"  symmetry residual    = {dp.symmetry_residual():.3e}")
 
-    rho = damped_dpp_diagonal(HPParam(-1.0), 1.0, grid, 20)
+    rho = dp.diagonal()
     mass = float(np.sum(grid.weights * rho))
     print(f"  intensity mass = {mass:.4f} (equals the rank)")
 

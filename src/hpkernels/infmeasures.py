@@ -45,7 +45,6 @@ __all__ = [
     "contraction_norm",
     "damped_projection",
     "s2_functional",
-    "damped_dpp_diagonal",
     "sample_damped_dpp",
 ]
 
@@ -212,31 +211,40 @@ def contraction_norm(s_prime: float, sigma: float, grid: DampedGrid,
 
 @dataclass(frozen=True)
 class DampedProjectionGrid:
-    """Grid matrix of the orthogonal projection onto
-    sqrt(g) (span of m proxy-kernel modes + the n_s v-functions), and the
-    orthonormal columns basis it is built from (matrix = basis basis^T)."""
+    """Orthogonal grid projection onto sqrt(g) (span of m proxy-kernel
+    modes + the n_s v-functions), held as its orthonormal columns basis:
+    the grid matrix is P = basis basis^T, and every quantity is read from
+    basis or from its rank x rank Gram matrix."""
 
     param: HPParam
     sigma: float
     grid: DampedGrid
     m: int
-    matrix: np.ndarray
     basis: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.m + self.param.n_s
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense grid matrix basis basis^T, formed on each access."""
+        return self.basis @ self.basis.T
+
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return float(np.sum(self.basis**2))
+
+    def diagonal(self) -> np.ndarray:
+        """Continuous-kernel diagonal K(x, x) at the grid nodes: the matrix
+        diagonal with the quadrature weights divided back out."""
+        return np.einsum("ij,ij->i", self.basis, self.basis) / self.grid.weights
 
     def idempotency_residual(self) -> float:
-        P = self.matrix
-        return float(np.linalg.norm(P @ P - P) / np.linalg.norm(P))
-
-    def symmetry_residual(self) -> float:
-        P = self.matrix
-        return float(np.max(np.abs(P - P.T)) / np.max(np.abs(P)))
+        """||P^2 - P||_F / ||P||_F.  With G = basis^T basis,
+        P^2 - P = basis (G - I) G basis^T, so the ratio is
+        ||(G - I) G||_F / ||G||_F."""
+        G = self.basis.T @ self.basis
+        return float(np.linalg.norm((G - np.eye(len(G))) @ G) / np.linalg.norm(G))
 
 
 def damped_projection(param: HPParam, sigma: float, grid: DampedGrid,
@@ -258,11 +266,10 @@ def damped_projection(param: HPParam, sigma: float, grid: DampedGrid,
     g = np.exp(-sigma * grid.nodes**2)
     sg = np.sqrt(g)
     B = U * sg[:, None]
-    M = B.T @ B
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e10:
-        raise NearSingular(f"damped Gram condition {cond:.3e}")
-    lam, E = np.linalg.eigh(M)
+    lam, E = np.linalg.eigh(B.T @ B)
+    # condition number at most 1e10; written negated so NaN fails too
+    if not lam[0] > 1e-10 * lam[-1]:
+        raise NearSingular(f"damped Gram eigenvalues {lam[0]:.3e} .. {lam[-1]:.3e}")
     C = B @ (E / np.sqrt(lam)) @ E.T  # B M^{-1/2}: orthonormal columns
     cols = [C]
     if param.n_s >= 1:
@@ -280,10 +287,7 @@ def damped_projection(param: HPParam, sigma: float, grid: DampedGrid,
                     f"damped v_{k} nearly inside the kernel block"
                 )
             cols.append(r / nr)
-    P = C @ C.T
-    for extra in cols[1:]:
-        P = P + np.outer(extra, extra)
-    return DampedProjectionGrid(param, float(sigma), grid, int(m), P,
+    return DampedProjectionGrid(param, float(sigma), grid, int(m),
                                 np.column_stack(cols))
 
 
@@ -295,21 +299,12 @@ def s2_functional(config, sigma: float):
     return s2, math.exp(-sigma * s2)
 
 
-def damped_dpp_diagonal(param: HPParam, sigma: float, grid: DampedGrid,
-                        m: int, proxy_N: int = 64) -> np.ndarray:
-    """Continuous-kernel diagonal K(x, x) at the grid nodes: the matrix
-    diagonal with the quadrature weights divided back out."""
-    dp = damped_projection(param, sigma, grid, m, proxy_N)
-    return np.diagonal(dp.matrix) / dp.grid.weights
-
-
 def sample_damped_dpp(dp: DampedProjectionGrid, seed: int, n_draws: int) -> np.ndarray:
     """Exact draws of the rank-(m+n_s) damped process on the grid: the
     projection's orthonormal basis feeds the same sequential conditioning
     used for the finite-N samplers.  NearSingular if the basis has drifted
     from orthonormal."""
-    Q = dp.basis
-    if float(np.max(np.abs(Q.T @ Q - np.eye(Q.shape[1])))) > 1e-8:
+    if dp.idempotency_residual() > 1e-8:
         raise NearSingular("damped projection basis is not orthonormal")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return sequential_projection_draws(Q, dp.grid.nodes, rng, n_draws)
+    return sequential_projection_draws(dp.basis, dp.grid.nodes, rng, n_draws)

@@ -14,7 +14,6 @@ import math
 import warnings
 import dataclasses
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "SamplerConfig",
     "sample_projection_dpp_batch",
     "sequential_projection_draws",
-    "sample_pseudo_jacobi_mcmc",
     "mcmc_draws",
     "sample_hp_matrix_s0_batch",
     "write_sample_archive",
@@ -58,7 +56,6 @@ class Configuration:
 class SamplerConfig:
     seed: int = 0
     grid_points: int = 4096
-    R: float = 1.0e6
     method: str = "spectral_dpp"
     step_scale: float = 0.5
     burn_in: int = 2000
@@ -70,8 +67,6 @@ class SamplerConfig:
             raise DomainError("seed must fit in 64 bits")
         if self.grid_points < 16 or self.grid_points % 2:
             raise DomainError("grid_points must be even and >= 16")
-        if self.R <= 0:
-            raise DomainError("truncation R must be positive")
         if self.method not in ("spectral_dpp", "mcmc"):
             raise DomainError(f"unknown method {self.method!r}")
         if min(self.step_scale, self.burn_in, self.thinning, self.n_chains) <= 0:
@@ -82,7 +77,7 @@ class SamplerConfig:
 # Grid-based exact DPP sampler
 
 
-def _dpp_grid(k: FiniteKernel, M: int, R: float):
+def _dpp_grid(k: FiniteKernel, M: int):
     """Midpoint angle grid with the orthonormal feature rows.
 
     Returns (x positions, A) where A is (M, N) with A^H A = I exactly after
@@ -97,8 +92,6 @@ def _dpp_grid(k: FiniteKernel, M: int, R: float):
     P = k.opuc.eval_all(np.exp(1j * theta))[:, :N]
     A = P * np.sqrt(lam * delta / (2.0 * np.pi))[:, None]
     x = np.tan(theta / 2.0) / N
-    keep = np.abs(x) <= R
-    A = A * keep[:, None]
     deficit = N - float(np.sum(np.abs(A) ** 2))
     return x, A, deficit
 
@@ -106,14 +99,14 @@ def _dpp_grid(k: FiniteKernel, M: int, R: float):
 def _prepare_grid(k: FiniteKernel, cfg: SamplerConfig):
     M = cfg.grid_points
     for _ in range(5):
-        x, A, deficit = _dpp_grid(k, M, cfg.R)
+        x, A, deficit = _dpp_grid(k, M)
         if abs(deficit) < 1e-4:
             break
         M *= 2
     if abs(deficit) >= 0.01:
         raise GridTooCoarse(
             f"grid mass deficit {deficit:.3e} at {M} nodes; "
-            "raise grid_points or R"
+            "raise grid_points"
         )
     # polish to an exact discrete projection so cardinality is exact
     Q, _ = np.linalg.qr(A)
@@ -167,7 +160,13 @@ def sequential_projection_draws(
         chunk = picks[start:start + B]
         rows = np.arange(len(U))
         W = np.empty((len(U), N - 1, N), dtype=Q.dtype)
-        p = row_p
+        # per-chunk buffers that every step writes into: a fresh (chunk, M)
+        # temporary per step costs page faults once the allocator maps it
+        p = np.tile(row_p, (len(U), 1))
+        prod = np.empty((len(U), M), dtype=Q.dtype)
+        sq = np.empty((len(U), M))
+        cdf = np.empty((len(U), M))
+        below = np.empty((len(U), M), dtype=bool)
         for step in range(1, N):
             i = chunk[:, step - 1]
             v = Q[i].conj()
@@ -177,11 +176,13 @@ def sequential_projection_draws(
                 v -= np.einsum("bk,bkn->bn", h, Wk)
             v /= np.linalg.norm(v, axis=1)[:, None]
             W[:, step - 1] = v
-            p = p - np.abs(v @ Q.T) ** 2
+            np.matmul(v, Q.T, out=prod)
+            np.square(np.abs(prod, out=sq), out=sq)
+            np.subtract(p, sq, out=p)
             p[rows, i] = 0.0
             np.maximum(p, 0.0, out=p)
-            cdf = np.cumsum(p, axis=1)
-            below = cdf < (U[:, step] * cdf[:, -1])[:, None]
+            np.cumsum(p, axis=1, out=cdf)
+            np.less(cdf, (U[:, step] * cdf[:, -1])[:, None], out=below)
             chunk[:, step] = np.minimum(np.count_nonzero(below, axis=1), M - 1)
     return np.sort(x[picks], axis=1)
 
@@ -207,18 +208,19 @@ def _coord_terms(x: np.ndarray, col: np.ndarray, j: int, s: float, N: int) -> np
     return 2.0 * np.sum(lo, axis=1) - (s + N) * np.log1p(col * col)
 
 
-def sample_pseudo_jacobi_mcmc(
-    param: HPParam, N: int, cfg: SamplerConfig, stats: dict | None = None
-) -> Iterator[Configuration]:
-    """Thinned Metropolis stream targeting the ensemble, rescaled by 1/N.
+def mcmc_draws(param: HPParam, N: int, cfg: SamplerConfig, n_draws: int,
+               stats: dict | None = None) -> np.ndarray:
+    """First n_draws thinned Metropolis states targeting the ensemble,
+    rescaled by 1/N, as a (n_draws, N) array with sorted rows.
 
     Runs cfg.n_chains independent chains in lockstep.  Each sweep updates
     one coordinate at a time with a Cauchy step (single-coordinate moves
     are what lets the heavy x^-2 tails mix); the step scale adapts toward
-    0.3 acceptance during burn-in, then freezes.  Yields states
-    round-robin across chains.  Warns NonConvergenceWarning if the frozen
-    acceptance rate leaves [0.1, 0.6].  A caller-supplied stats dict
-    receives the running acceptance_rate and step_scale.
+    0.3 acceptance during burn-in, then freezes.  Each thinned sweep
+    contributes one row per chain, in chain order.  Warns
+    NonConvergenceWarning if the frozen acceptance rate leaves
+    [0.1, 0.6].  A caller-supplied stats dict receives the running
+    acceptance_rate and step_scale.
     """
     s = param.s
     if s <= -0.5:
@@ -231,7 +233,9 @@ def sample_pseudo_jacobi_mcmc(
     proposed = 0
     sweep = 0
     warned = False
-    while True:
+    out = np.empty((n_draws, N))
+    filled = 0
+    while filled < n_draws:
         for j in range(N):
             cur = x[:, j]
             prop = cur + scale * rng.standard_cauchy(C)
@@ -262,20 +266,13 @@ def sample_pseudo_jacobi_mcmc(
                 stats["acceptance_rate"] = rate
                 stats["step_scale"] = scale
         if (sweep - cfg.burn_in) % cfg.thinning == 0:
-            for c in range(C):
-                pts = x[c] / N
-                if np.any(pts == 0.0):  # measure-zero; perturb off the origin
-                    pts = pts + 1e-300
-                yield Configuration(tuple(pts))
-
-
-def mcmc_draws(param: HPParam, N: int, cfg: SamplerConfig, n_draws: int,
-               stats: dict | None = None) -> np.ndarray:
-    """First n_draws thinned states as a (n_draws, N) sorted array."""
-    gen = sample_pseudo_jacobi_mcmc(param, N, cfg, stats)
-    out = np.empty((n_draws, N))
-    for i in range(n_draws):
-        out[i] = next(gen).points
+            take = min(C, n_draws - filled)
+            pts = x[:take] / N
+            pts[np.any(pts == 0.0, axis=1)] += 1e-300  # measure-zero; off the origin
+            if not np.all(np.isfinite(pts)):
+                raise DomainError("non-finite point")
+            out[filled:filled + take] = np.sort(pts, axis=1)
+            filled += take
     return out
 
 

@@ -64,14 +64,15 @@ class TestExitCodes:
         (["experiment", "variance", "--eps", "1000.5"], 2),
         (["experiment", "variance", "--eps", "1e6"], 2),
         (["experiment", "variance", "--eps", "1e300"], 2),
-        (["experiment", "contraction", "--sprime", "511"], 0),
+        (["experiment", "contraction", "--sprime", "511"], 1),
         (["experiment", "contraction", "--sprime", "600"], 2),
         (["experiment", "contraction", "--sprime", "1e5"], 2),
         (["experiment", "contraction", "--sprime", "1e300"], 2),
     ])
     def test_experiment_parameter_upper_bounds(self, capsys, argv, code):
         # past eps = 1000 the variance windows outgrow memory; past
-        # sprime = 512 the circle weight's 4^s overflows
+        # sprime = 512 the circle weight's 4^s overflows; at sprime = 511 the
+        # proxy's mass has left the damped grid, so the check fails
         assert main(argv) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
@@ -80,7 +81,24 @@ class TestExitCodes:
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
         else:
-            assert json.loads(captured.out)["passed"] is True
+            assert json.loads(captured.out)["passed"] is (code == 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "kernel", "--grid", "0.1:3:1000000"],
+        ["experiment", "gamma1", "--M", "1000000", "--draws", "1"],
+        ["sample", "--N", "10000000", "--draws", "1"],
+    ])
+    def test_oversize_input_is_one(self, capsys, tmp_path, monkeypatch, argv):
+        # each asks numpy for hundreds of GiB or more, refused at once
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "MemoryError" in lines[0]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", [["--s", "inf"], ["--s=-inf"], ["--s", "nan"]])
     def test_non_finite_float_is_two(self, capsys, flag):
@@ -402,6 +420,22 @@ class TestSample:
         assert rep["replay"] is True
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_replay_ignores_old_R_key(self, capsys, tmp_path, monkeypatch):
+        # sidecars written before SamplerConfig lost its R field carry
+        # "R": 1e6; unknown keys are ignored, so they replay byte for byte
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        run(capsys, ["sample", "--s", "0", "--N", "3", "--draws", "25",
+                     "--seed", "4", "--out", "a.csv"])
+        side_path = tmp_path / "a.csv.json"
+        side = json.loads(side_path.read_text())
+        assert "R" not in side
+        side["R"] = 1.0e6
+        side_path.write_text(json.dumps(side, indent=1, sort_keys=True) + "\n")
+        rc, rep = run(capsys, ["sample", "--replay", str(side_path),
+                               "--out", "b.csv"])
+        assert rc == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_replay_rejects_non_sidecar(self, capsys, tmp_path):
         p = tmp_path / "junk.json"
         p.write_text('{"seed": 1}')
@@ -541,6 +575,19 @@ class TestExperiments:
         assert rep["norm"] < 1.0
         assert rep["near_one_warning"] is False
         assert rep["trace_bound"] >= rep["norm"]
+
+    @pytest.mark.parametrize("sprime, code", [("0.5", 0), ("100", 1)])
+    def test_contraction_needs_grid_mass(self, capsys, sprime, code):
+        # at large sprime the rank-64 proxy's mass leaves the damped grid
+        # and the norm falls toward 0 whatever the damping does
+        rc, rep = run(capsys, ["experiment", "contraction", "--sprime", sprime])
+        assert rc == code
+        assert rep["norm"] < 1.0
+        assert rep["passed"] is (code == 0)
+        if code == 0:
+            assert 36.0 < rep["grid_mass"] < 37.0
+        else:
+            assert rep["grid_mass"] < 32.0
 
 
 class TestDataDir:

@@ -1,6 +1,7 @@
 """v-basis growth obstruction, damped projections, contraction norms, S2 weight."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hpkernels.infmeasures import (
     VBasis,
     _kernel_eigenbasis,
     contraction_norm,
-    damped_dpp_diagonal,
     damped_projection,
     eval_v_basis,
     growth_certificate,
@@ -224,7 +224,36 @@ class TestContraction:
 class TestDampedProjection:
     def test_idempotent_symmetric(self, dp_s1):
         assert dp_s1.idempotency_residual() < 1e-8
-        assert dp_s1.symmetry_residual() < 1e-8
+
+    @pytest.mark.parametrize("perturb", [
+        lambda Q, rng: 0.3 * Q,
+        lambda Q, rng: Q * np.where(np.arange(Q.shape[1]) == 3, 0.9, 1.0),
+        lambda Q, rng: Q + 1e-3 * rng.standard_normal(Q.shape),
+    ], ids=["scaled", "one_column", "noise"])
+    def test_residual_matches_dense(self, dp_s1, perturb):
+        # the Gram form against ||P^2 - P||_F / ||P||_F on the dense matrix
+        bad = DampedProjectionGrid(HPParam(-1.0), 1.0, dp_s1.grid, 20,
+                                   perturb(dp_s1.basis, np.random.default_rng(3)))
+        P = bad.matrix
+        dense = float(np.linalg.norm(P @ P - P) / np.linalg.norm(P))
+        assert bad.idempotency_residual() == pytest.approx(dense, rel=1e-12)
+
+    def test_memory_below_one_grid_matrix(self, grid, dp_s1):
+        # the projection is held as its basis: building it and reading the
+        # trace, residual, diagonal and 30 draws allocate far less than one
+        # n x n matrix (dp_s1 has already run the lazy scipy imports, which
+        # would otherwise count)
+        tracemalloc.start()
+        try:
+            dp = damped_projection(HPParam(-1.0), 1.0, grid, 20)
+            dp.trace()
+            dp.idempotency_residual()
+            dp.diagonal()
+            sample_damped_dpp(dp, seed=1, n_draws=30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size**2 * 8
 
     def test_trace_matches_rank(self, dp_s1):
         assert dp_s1.rank == 21
@@ -325,16 +354,20 @@ class TestS2Functional:
 
 
 class TestDiagonal:
-    def test_mass_equals_rank(self, grid):
-        d = damped_dpp_diagonal(HPParam(-1.0), 1.0, grid, 20)
+    def test_mass_equals_rank(self, grid, dp_s1):
+        d = dp_s1.diagonal()
         assert float(np.sum(d * grid.weights)) == pytest.approx(21.0, abs=0.05)
 
-    def test_nonnegative(self, grid):
-        d = damped_dpp_diagonal(HPParam(-1.0), 1.0, grid, 20)
+    def test_nonnegative(self, dp_s1):
+        d = dp_s1.diagonal()
         assert float(np.min(d)) > -1e-12
 
+    def test_matches_dense_matrix(self, grid, dp_s1):
+        dense = np.diagonal(dp_s1.matrix) / grid.weights
+        assert np.allclose(dp_s1.diagonal(), dense, rtol=1e-14, atol=0.0)
+
     def test_clouds_follow_diagonal(self, grid, dp_s1, draws_s1):
-        d = np.diagonal(dp_s1.matrix) / grid.weights
+        d = dp_s1.diagonal()
         pts = np.abs(draws_s1.ravel())
         x = np.abs(grid.nodes)
         edges = [1.0 / 80.0, 0.1, 0.5, 1.0, 2.0, 6.0]
@@ -368,8 +401,6 @@ class TestSampleDamped:
         assert np.array_equal(draws_s1, ref)
 
     def test_corrupt_projection_rejected(self, grid, dp_s1):
-        bad = DampedProjectionGrid(
-            HPParam(-1.0), 1.0, grid, 20, dp_s1.matrix, 0.3 * dp_s1.basis
-        )
+        bad = DampedProjectionGrid(HPParam(-1.0), 1.0, grid, 20, 0.3 * dp_s1.basis)
         with pytest.raises(NearSingular):
             sample_damped_dpp(bad, seed=0, n_draws=1)

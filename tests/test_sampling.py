@@ -28,7 +28,6 @@ from hpkernels.sampling import (
     read_sample_sidecar,
     sample_hp_matrix_s0_batch,
     sample_projection_dpp_batch,
-    sample_pseudo_jacobi_mcmc,
     sequential_projection_draws,
     write_sample_archive,
 )
@@ -78,7 +77,6 @@ class TestSamplerConfig:
         {"seed": 2**64},
         {"grid_points": 4095},
         {"grid_points": 8},
-        {"R": 0.0},
         {"method": "exact"},
         {"thinning": 0},
         {"burn_in": -5},
@@ -296,13 +294,6 @@ class TestMCMC:
         stat = stats.ks_2samp(dpp.max(axis=1), mc.max(axis=1)).statistic
         assert stat < ks_crit(4000, 4000)
 
-    def test_stream_yields_configurations(self):
-        gen = sample_pseudo_jacobi_mcmc(HPParam(0.5), 2,
-                                        SamplerConfig(seed=3, burn_in=50,
-                                                      thinning=2, n_chains=4))
-        c = next(gen)
-        assert isinstance(c, Configuration) and len(c) == 2
-
     def test_nonconvergence_warning(self):
         # absurd proposal scale freezes into a near-zero acceptance rate
         cfg = SamplerConfig(seed=1, step_scale=5e4, burn_in=49,
@@ -312,9 +303,9 @@ class TestMCMC:
 
     def test_bad_parameter_rejected(self):
         with pytest.raises(DomainError):
-            next(sample_pseudo_jacobi_mcmc(HPParam(-0.5), 2, SamplerConfig()))
+            mcmc_draws(HPParam(-0.5), 2, SamplerConfig(), 1)
         with pytest.raises(DomainError):
-            next(sample_pseudo_jacobi_mcmc(HPParam(1 + 2j), 2, SamplerConfig()))
+            mcmc_draws(HPParam(1 + 2j), 2, SamplerConfig(), 1)
 
     def test_seed_reproducible(self):
         cfg = SamplerConfig(seed=77, burn_in=100, thinning=2, n_chains=8)
