@@ -36,7 +36,6 @@ from .errors import (
 )
 from .specfun import bessel_j, gamma_fn, jsq_over_t_integral
 from .weights_opuc import (
-    CircleWeight,
     HPParam,
     build_opuc,
     cd_identity_residual,
@@ -48,13 +47,13 @@ from .kernels import (
     LimitKernel,
     VFunction,
     build_finite_kernel,
-    build_rescaled_circle_kernel,
     check_finite_recurrence,
     check_limit_recurrence,
     check_projection,
     eval_V,
     eval_limit_kernel,
-    eval_phi_n,
+    log_v_norm_sq,
+    phi_n_matrix,
 )
 from .sampling import (
     Configuration,
@@ -283,6 +282,10 @@ _S_MAX = 512.0
 _EPS_MAX = 1000.0
 
 
+# the largest natural logarithm a double holds
+_LN_MAX = math.log(sys.float_info.max)
+
+
 def _require_s(p: dict, what: str) -> None:
     _require(-0.5 < p["s"] < _S_MAX, f"{what} requires -1/2 < s < {_S_MAX:g}")
 
@@ -297,11 +300,22 @@ def _validate(spec: RunSpec) -> None:
         if p["suite"] in ("kernels", "opuc"):
             _require_s(p, f"suite {p['suite']}")
             _require(p["N"] >= 2, "N >= 2 required")
+        if p["suite"] == "kernels":
+            # the finite shift identity divides by ||V||^2 and the projection
+            # tail bound divides by Gamma(s+3/2): both must be doubles
+            _require(log_v_norm_sq(p["s"], p["N"]) < _LN_MAX
+                     and math.lgamma(p["s"] + 1.5) < _LN_MAX,
+                     f"suite kernels: ||V||^2 or Gamma(s+3/2) overflows a double "
+                     f"at s = {p['s']:g}, N = {p['N']}")
     elif spec.command == "table":
         _require_s(p, "table")
         _require(p["N"] >= 1, "N >= 1 required")
         _require(p["n"] >= 1, "n >= 1 required")
         grid = _parse_grid(p["grid"])
+        if p["kind"] == "vfunction":
+            s = p["s"]
+            _require((s + 0.5) * math.log(2.0) + math.lgamma(s + 1.5) < _LN_MAX,
+                     f"vfunction: 2^(s+1/2) Gamma(s+3/2) overflows a double at s = {s:g}")
         if p["kind"] == "phi_n":
             _require(bool(np.all(np.abs(grid) < p["n"] * np.pi)),
                      f"phi_n needs grid points in (-n pi, n pi), n = {p['n']}")
@@ -385,7 +399,7 @@ def _suite_specfun(p: dict) -> list[dict]:
 def _suite_opuc(p: dict) -> list[dict]:
     param = HPParam(p["s"])
     N = p["N"]
-    basis = build_opuc(CircleWeight(param, "lambda"), N + 1)
+    basis = build_opuc(param, N + 1)
     checks = [
         _chk("moment0_normalized", abs(trig_moment(param, 0) - 1.0), 1e-12),
     ]
@@ -474,8 +488,7 @@ def cmd_table(spec: RunSpec):
             rows = ((float(x), float(v)) for x, v in zip(grid, vals))
             header = ["x", "V"]
         else:  # phi_n
-            k = build_rescaled_circle_kernel(param, p["n"])
-            vals = np.array([[eval_phi_n(k, float(a), float(b)) for b in grid] for a in grid])
+            vals = phi_n_matrix(build_finite_kernel(param, p["n"]), grid, grid)
             rows = ((float(a), float(b), float(vals[i, j].real), float(vals[i, j].imag))
                     for i, a in enumerate(grid) for j, b in enumerate(grid))
             header = ["alpha", "beta", "re", "im"]

@@ -12,6 +12,11 @@ independent routes:
 Both produce the orthogonal projection onto the same N-dimensional
 subspace of L^2(R), so they agree pointwise; tests exploit that as a
 dual-construction check.
+
+The n-fold rescaled circle kernel phi_n lives on the circle weight rotated
+by pi.  Rotation by pi multiplies Verblunsky coefficients by (-1)^{k+1}
+(Simon, OPUC, 2005), so the rotated basis is (-1)^k p_k(-z) and phi_n is
+read off the circle route's own basis at the rotated angles.
 """
 
 from __future__ import annotations
@@ -26,24 +31,21 @@ from .errors import DomainError, QuadFailure
 from .quadrature import gauss_panels, panel_nodes
 from .specfun import bessel_j, gamma_fn, jsq_over_t_tail
 from .weights_opuc import (
-    CircleWeight,
     HPParam,
     MonicLineBasis,
     OPUCBasis,
     build_monic_line,
     build_opuc,
     eval_circle_weight,
-    top_sq_norm,
+    top_log_gammas,
 )
 
 __all__ = [
     "FiniteKernel",
-    "RescaledCircleKernel",
     "LimitKernel",
     "VFunction",
     "build_finite_kernel",
-    "build_rescaled_circle_kernel",
-    "eval_phi_n",
+    "phi_n_matrix",
     "eval_limit_kernel",
     "limit_kernel_matrix",
     "eval_V",
@@ -85,9 +87,7 @@ class FiniteKernel:
         if self.route == "line_direct":
             return self.monic.eval_weighted(t)[:, :N] * math.sqrt(N)
         theta = 2.0 * np.arctan(t)
-        lam = eval_circle_weight(
-            CircleWeight(self.param, "lambda"), theta, normalized=True
-        )
+        lam = eval_circle_weight(self.param, theta)
         z = np.exp(1j * theta)
         P = self.opuc.eval_all(z)[:, :N]
         # gauge e^{i gamma}, gamma = (N-1) arg(i+t), makes the kernel real
@@ -112,9 +112,7 @@ class FiniteKernel:
         """Circle-side density lambda(theta) sum |p_k|^2 w.r.t. d theta/2pi."""
         if self.route != "circle_cayley":
             raise DomainError("circle-side density needs the circle route")
-        lam = eval_circle_weight(
-            CircleWeight(self.param, "lambda"), theta, normalized=True
-        )
+        lam = eval_circle_weight(self.param, theta)
         P = self.opuc.eval_all(np.exp(1j * np.atleast_1d(theta)))[:, : self.N]
         return lam * np.sum(np.abs(P) ** 2, axis=1)
 
@@ -125,7 +123,7 @@ def build_finite_kernel(param: HPParam, N: int, route: str = "circle_cayley") ->
     if N < 1:
         raise DomainError("N >= 1 required")
     if route == "circle_cayley":
-        return FiniteKernel(param, N, route, opuc=build_opuc(CircleWeight(param, "lambda"), N))
+        return FiniteKernel(param, N, route, opuc=build_opuc(param, N))
     if route == "line_direct":
         return FiniteKernel(param, N, route, monic=build_monic_line(param, N, N - 1))
     raise DomainError(f"unknown route {route!r}")
@@ -135,39 +133,28 @@ def build_finite_kernel(param: HPParam, N: int, route: str = "circle_cayley") ->
 # Rescaled circle kernel
 
 
-@dataclass(frozen=True)
-class RescaledCircleKernel:
-    """n-fold rescaled projection kernel on the circle, window (-n pi, n pi)."""
-
-    param: HPParam
-    n: int
-    basis: OPUCBasis  # orthonormal for the "w" weight (singular at 0)
-
-
-def build_rescaled_circle_kernel(param: HPParam, n: int) -> RescaledCircleKernel:
-    if param.s <= -0.5:
-        raise DomainError("rescaled circle kernel requires s > -1/2")
-    return RescaledCircleKernel(param, n, build_opuc(CircleWeight(param, "w"), n))
-
-
-def eval_phi_n(k: RescaledCircleKernel, alpha: float, beta: float) -> complex:
-    """Rescaled kernel (1/n) e^{-i(n-1)alpha/(2n)} K_w(alpha/n, beta/n)
-    e^{+i(n-1)beta/(2n)}.
-
-    The conjugating phases make the s=0 case exactly the ratio-of-sines
-    kernel; phases are a gauge and leave all determinants unchanged.
+def phi_n_matrix(k: FiniteKernel, alphas, betas) -> np.ndarray:
+    """n-fold rescaled circle kernel, n = k.N, on alphas (rows) by betas
+    (columns) in (-n pi, n pi): (1/n) e^{-i(n-1)alpha/(2n)} K_w(alpha/n,
+    beta/n) e^{+i(n-1)beta/(2n)}, with K_w the rank-n kernel of the weight
+    singular at 0, that is the circle route's kernel at a/n + pi brought
+    into [-pi, pi].  The phases, a gauge, make s=0 the ratio-of-sines kernel.
     """
-    n = k.n
-    if not (abs(alpha) < n * np.pi and abs(beta) < n * np.pi):
-        raise DomainError(f"angles must lie in (-{n}pi, {n}pi)")
-    wa, wb = alpha / n, beta / n
-    w = CircleWeight(k.param, "w")
-    la = eval_circle_weight(w, wa, normalized=True)
-    lb = eval_circle_weight(w, wb, normalized=True)
-    P = k.basis.eval_all(np.exp(1j * np.array([wa, wb])))[:, :n]
-    core = np.sum(P[0] * np.conj(P[1])) * math.sqrt(la * lb) / (2.0 * np.pi)
-    phase = np.exp(-1j * (n - 1) * alpha / (2.0 * n) + 1j * (n - 1) * beta / (2.0 * n))
-    return complex(phase * core / n)
+    if k.route != "circle_cayley":
+        raise DomainError("phi_n needs the circle route")
+    n = k.N
+
+    def rows(a):
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        if np.any(np.abs(a) >= n * np.pi):
+            raise DomainError(f"angles must lie in (-{n}pi, {n}pi)")
+        theta = a / n - np.copysign(np.pi, a)
+        lam = eval_circle_weight(k.param, theta)
+        P = k.opuc.eval_all(np.exp(1j * theta))
+        phase = np.exp(-1j * (n - 1) * a / (2.0 * n))
+        return P * (np.sqrt(lam / (2.0 * np.pi)) * phase)[:, None]
+
+    return rows(alphas) @ rows(betas).conj().T / n
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +295,12 @@ def v_norm_sq_closed(v: VFunction) -> float:
     s = v.param.s
     if v.flavor == "limit":
         return float(2.0 ** (2.0 * s + 1.0) * gamma_fn(s + 0.5) ** 2 * (s + 0.5))
-    return float(v.N ** (1.0 + 2.0 * s) * top_sq_norm(s, v.N))
+    return math.exp(log_v_norm_sq(s, v.N))
+
+
+def log_v_norm_sq(s: float, N: int) -> float:
+    """ln(N^{1+2s} h_{N-1}), finite where the prelimit norm overflows."""
+    return (1.0 + 2.0 * s) * math.log(N) + math.log(math.pi) + top_log_gammas(s, N)
 
 
 def v_norm_sq_quadrature(v: VFunction, T: float = 2000.0) -> float:

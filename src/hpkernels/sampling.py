@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NonConvergenceWarning, SingularCayley
 from .kernels import FiniteKernel
-from .weights_opuc import CircleWeight, HPParam, eval_circle_weight
+from .weights_opuc import HPParam, eval_circle_weight
 
 __all__ = [
     "Configuration",
@@ -88,7 +88,7 @@ def _dpp_grid(k: FiniteKernel, M: int):
     N = k.N
     delta = 2.0 * np.pi / M
     theta = -np.pi + (np.arange(M) + 0.5) * delta  # never hits 0 or +-pi
-    lam = eval_circle_weight(CircleWeight(k.param, "lambda"), theta, normalized=True)
+    lam = eval_circle_weight(k.param, theta)
     P = k.opuc.eval_all(np.exp(1j * theta))[:, :N]
     A = P * np.sqrt(lam * delta / (2.0 * np.pi))[:, None]
     x = np.tan(theta / 2.0) / N
@@ -118,10 +118,10 @@ _CHUNK_BYTES = 1 << 23
 
 
 def _draw_bytes(M: int, N: int, itemsize: int) -> int:
-    """Per-chunk bytes one draw adds: its M-long residuals, cumulative
-    sums, product row, |product| and |product|^2 and comparison mask, and
-    its N x N orthonormal vectors."""
-    return M * (40 + itemsize) + N * N * itemsize
+    """Per-chunk bytes one draw adds: its M-long step buffers (residuals,
+    |product|^2, cumulative sums and comparison mask at 8 + 8 + 8 + 1 bytes,
+    and the product row at itemsize), and its N x N orthonormal vectors."""
+    return M * (25 + itemsize) + N * N * itemsize
 
 
 def sequential_projection_draws(

@@ -1,14 +1,12 @@
 """Weights on the line and circle, and orthonormal bases for both.
 
-Line weight (1+x^2)^{-s-N}; circle weight (2+2cos theta)^s (kind "lambda",
-singular at +-pi) or its rotation (2-2cos theta)^s (kind "w", singular at 0).
-Both bases are stored as recurrence coefficients and evaluated by
-recurrence in double precision:
+Line weight (1+x^2)^{-s-N}; one circle weight c_s (2+2cos theta)^s, singular
+at +-pi and normalized against d theta/2pi.  Both bases are stored as
+recurrence coefficients and evaluated by recurrence in double precision:
 
 - circle: the closed-form Verblunsky coefficients of the circular Jacobi
-  weight, alpha_k = (-1)^k s/(k+s+1) ("lambda") or -s/(k+s+1) ("w"), run
-  through the Szego recursion (Simon, OPUC, 2005; Bourgade-Nikeghbali-
-  Rouault, IMRN 2009);
+  weight, alpha_k = (-1)^k s/(k+s+1), run through the Szego recursion
+  (Simon, OPUC, 2005; Bourgade-Nikeghbali-Rouault, IMRN 2009);
 - line: the monic pseudo-Jacobi (Romanovski) three-term recurrence
   p_{k+1} = x p_k - b_k p_{k-1}, b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)),
   a = s+N.
@@ -25,7 +23,6 @@ from .errors import DegreeError, DomainError, MomentDivergence
 
 __all__ = [
     "HPParam",
-    "CircleWeight",
     "OPUCBasis",
     "MonicLineBasis",
     "eval_line_weight",
@@ -61,25 +58,6 @@ class HPParam:
         object.__setattr__(self, "s_prime", self.s + n)
 
 
-@dataclass(frozen=True)
-class CircleWeight:
-    """Circle weight of parameter s; kind "lambda" peaks/vanishes at theta=0
-    with singular endpoint +-pi, kind "w" is its rotation by pi."""
-
-    param: HPParam
-    kind: str = "lambda"
-
-    def __post_init__(self):
-        if self.kind not in ("lambda", "w"):
-            raise DomainError(f"unknown circle weight kind {self.kind!r}")
-
-    def normalization(self) -> float:
-        """Constant c_s with c_s * integral of the weight d theta/2pi = 1."""
-        s = self.param.s
-        # Gamma(s+1)^2 / Gamma(2s+1) in logs: the factors overflow past s ~ 85
-        return math.exp(2.0 * math.lgamma(s + 1.0) - math.lgamma(2.0 * s + 1.0))
-
-
 def eval_line_weight(param: HPParam, N: int, x) -> float | np.ndarray:
     """(1 + x^2)^(-s-N); invariant under (s, N) -> (s+m, N-m)."""
     if N < 1:
@@ -89,46 +67,37 @@ def eval_line_weight(param: HPParam, N: int, x) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def eval_circle_weight(w: CircleWeight, theta, normalized: bool = False):
-    """Weight value at angle theta in (-pi, pi).
+def eval_circle_weight(param: HPParam, theta):
+    """Probability-normalized weight lambda(theta) = c_s (2 + 2cos theta)^s
+    against d theta/2pi, at angles theta in [-pi, pi].
 
-    Raises DomainError at the singular angle when s < 0 (the weight blows up
-    there, integrably).  With normalized=True the probability normalization
-    against d theta/2pi is included.
+    Raises DomainError at the singular angle +-pi when s < 0 (the weight
+    blows up there, integrably).
     """
-    s = w.param.s
+    s = param.s
     tt = np.asarray(theta, dtype=float)
     if np.any(np.abs(tt) > np.pi):
         raise DomainError("theta must lie in [-pi, pi]")
-    # 2 +- 2cos(theta) in the cancellation-free half-angle form
-    if w.kind == "lambda":
-        base = 4.0 * np.cos(tt / 2.0) ** 2
-        at_sing = np.abs(tt) == np.pi
-    else:
-        base = 4.0 * np.sin(tt / 2.0) ** 2
-        at_sing = tt == 0.0
+    # 2 + 2cos(theta) in the cancellation-free half-angle form
+    base = 4.0 * np.cos(tt / 2.0) ** 2
+    at_sing = np.abs(tt) == np.pi
     if s < 0 and (np.any(at_sing) or np.any(base == 0.0)):
         raise DomainError(f"weight singular at this angle for s={s}")
     base = np.where(at_sing, 0.0, base)  # pin the exact singular angle
-    out = base**s
-    if normalized:
-        out = out * w.normalization()
+    # c_s = Gamma(s+1)^2 / Gamma(2s+1) in logs: the factors overflow past s ~ 85
+    c_s = math.exp(2.0 * math.lgamma(s + 1.0) - math.lgamma(2.0 * s + 1.0))
+    out = base**s * c_s
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def trig_moment(param: HPParam, k: int, kind: str = "lambda") -> float:
-    """Normalized trigonometric moment m_k = int e^{ik theta} dmu(theta).
-
-    For the probability-normalized lambda weight, m_0 = 1 and
-    m_k = prod_{j=1..k} (s+1-j)/(s+j); the "w" kind flips sign for odd k.
-    """
+def trig_moment(param: HPParam, k: int) -> float:
+    """Normalized trigonometric moment m_k = int e^{ik theta} lambda(theta) d theta/2pi:
+    m_0 = 1 and m_k = prod_{j=1..k} (s+1-j)/(s+j)."""
     s = param.s
     k = abs(int(k))
     m = 1.0
     for j in range(1, k + 1):
         m *= (s + 1.0 - j) / (s + j)
-    if kind == "w" and k % 2 == 1:
-        m = -m
     return m
 
 
@@ -138,7 +107,7 @@ def trig_moment(param: HPParam, k: int, kind: str = "lambda") -> float:
 
 @dataclass(frozen=True)
 class OPUCBasis:
-    """Orthonormal polynomials p_0..p_{n-1} for a circle weight.
+    """Orthonormal polynomials p_0..p_{n-1} for the circle weight lambda.
 
     alpha holds the (real) Verblunsky coefficients alpha_0..alpha_{n-2}.
     gram_residual is a diagnostic: the max-norm residual of
@@ -148,7 +117,6 @@ class OPUCBasis:
     """
 
     param: HPParam
-    kind: str
     degree_count: int
     alpha: np.ndarray
     gram_residual: float
@@ -173,37 +141,33 @@ def _szego(alpha: np.ndarray, z: np.ndarray):
     return P, star
 
 
-def _gram_residual(param: HPParam, kind: str, alpha: np.ndarray) -> float:
+def _gram_residual(param: HPParam, alpha: np.ndarray) -> float:
     m = min(alpha.size + 1, 32)
     # coefficients of p_0..p_{m-1} from their values at the m-th roots of unity
     P = _szego(alpha[: m - 1], np.exp(2j * np.pi * np.arange(m) / m))[0]
     C = np.fft.fft(P, axis=0).T / m
-    moments = np.array([trig_moment(param, j, kind) for j in range(m)])
+    moments = np.array([trig_moment(param, j) for j in range(m)])
     idx = np.arange(m)
     T = moments[np.abs(idx[:, None] - idx[None, :])]
     return float(np.max(np.abs(C @ T @ C.conj().T - np.eye(m))))
 
 
-def build_opuc(w: CircleWeight, n: int) -> OPUCBasis:
+def build_opuc(param: HPParam, n: int) -> OPUCBasis:
     """Orthonormal p_0..p_{n-1} from the closed-form Verblunsky coefficients
-    alpha_k = (-1)^k s/(k+s+1) (kind "lambda") or -s/(k+s+1) (kind "w")."""
-    s = w.param.s
+    alpha_k = (-1)^k s/(k+s+1)."""
+    s = param.s
     if s <= -0.5:
         raise DomainError("build_opuc requires s > -1/2")
     if n < 1:
         raise DomainError("degree count must be >= 1")
     k = np.arange(n - 1)
     alpha = s / (k + s + 1.0)
-    if w.kind == "lambda":
-        alpha = np.where(k % 2 == 0, alpha, -alpha)
-    else:
-        alpha = -alpha
+    alpha = np.where(k % 2 == 0, alpha, -alpha)
     return OPUCBasis(
-        param=w.param,
-        kind=w.kind,
+        param=param,
         degree_count=n,
         alpha=alpha,
-        gram_residual=_gram_residual(w.param, w.kind, alpha),
+        gram_residual=_gram_residual(param, alpha),
     )
 
 
@@ -213,9 +177,8 @@ def cd_sum_circle(basis: OPUCBasis, N: int, alpha: float, beta: float) -> comple
     with the weight probability-normalized against d theta/2pi."""
     if N > basis.degree_count:
         raise DegreeError(f"kernel order {N} exceeds basis degrees {basis.degree_count}")
-    w = CircleWeight(basis.param, basis.kind)
-    la = eval_circle_weight(w, alpha, normalized=True)
-    lb = eval_circle_weight(w, beta, normalized=True)
+    la = eval_circle_weight(basis.param, alpha)
+    lb = eval_circle_weight(basis.param, beta)
     pa = basis.eval_all(np.exp(1j * alpha))[0, :N]
     pb = basis.eval_all(np.exp(1j * beta))[0, :N]
     return complex(math.sqrt(la * lb) * np.sum(pa * np.conj(pb)))
@@ -297,11 +260,10 @@ class MonicLineBasis:
         return out
 
 
-def top_sq_norm(s: float, N: int) -> float:
-    """Closed form for h_{N-1} = int p_{N-1}^2 (1+x^2)^(-s-N) dx:
-    pi 2^(-2s) Gamma(2s+1) Gamma(2s+2) Gamma(N) / (Gamma(s+1)^2 Gamma(N+1+2s)),
-    with every Gamma taken through log-Gamma (each overflows past 171)."""
-    return math.pi * math.exp(
+def top_log_gammas(s: float, N: int) -> float:
+    """ln(h_{N-1}/pi) = ln of 2^(-2s) Gamma(2s+1) Gamma(2s+2) Gamma(N) /
+    (Gamma(s+1)^2 Gamma(N+1+2s)); each Gamma overflows past 171."""
+    return (
         -2.0 * s * math.log(2.0)
         + math.lgamma(2.0 * s + 1.0)
         + math.lgamma(2.0 * s + 2.0)
@@ -309,6 +271,11 @@ def top_sq_norm(s: float, N: int) -> float:
         + math.lgamma(N)
         - math.lgamma(N + 1.0 + 2.0 * s)
     )
+
+
+def top_sq_norm(s: float, N: int) -> float:
+    """h_{N-1} = int p_{N-1}^2 (1+x^2)^(-s-N) dx in closed form."""
+    return math.pi * math.exp(top_log_gammas(s, N))
 
 
 def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:

@@ -1,4 +1,6 @@
-"""Quadrature used only by the tests as an independent reference."""
+"""Independent references used only by the tests."""
+
+import math
 
 import numpy as np
 
@@ -16,3 +18,27 @@ def de_nodes(n: int, t_max: float = 4.2):
     w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2
     keep = 1.0 - np.abs(x) > 1e-17  # drop nodes indistinguishable from the ends
     return x[keep], w[keep]
+
+
+def reflected_phi_n(s: float, n: int, alpha: float, beta: float) -> complex:
+    """The n-fold rescaled circle kernel built on its own weight: the
+    reflected weight (4 sin^2(theta/2))^s c_s, singular at 0, and its
+    orthonormal basis from the Verblunsky coefficients -s/(k+s+1) through
+    the Szego recursion; then
+    (1/n) e^{-i(n-1)alpha/(2n)} K_w(alpha/n, beta/n) e^{+i(n-1)beta/(2n)}."""
+    c_s = math.exp(2.0 * math.lgamma(s + 1.0) - math.lgamma(2.0 * s + 1.0))
+    wa, wb = alpha / n, beta / n
+    z = np.exp(1j * np.array([wa, wb]))
+    P = np.empty((2, n), dtype=complex)
+    P[:, 0] = 1.0
+    star = np.ones(2, dtype=complex)
+    for k in range(n - 1):
+        a = -s / (k + s + 1.0)
+        r = math.sqrt(1.0 - a * a)
+        zp = z * P[:, k]
+        P[:, k + 1] = (zp - a * star) / r
+        star = (star - a * zp) / r
+    weight = (4.0 * np.sin(np.array([wa, wb]) / 2.0) ** 2) ** s * c_s
+    core = np.sum(P[0] * np.conj(P[1])) * math.sqrt(weight[0] * weight[1]) / (2.0 * np.pi)
+    phase = np.exp(-1j * (n - 1) * (alpha - beta) / (2.0 * n))
+    return complex(phase * core / n)

@@ -19,12 +19,11 @@ from hpkernels.kernels import (
     LimitKernel,
     VFunction,
     build_finite_kernel,
-    build_rescaled_circle_kernel,
     check_limit_recurrence,
     check_projection,
     convergence_profile,
     eval_limit_kernel,
-    eval_phi_n,
+    phi_n_matrix,
     v_norm_sq_closed,
     v_norm_sq_quadrature,
 )
@@ -140,12 +139,12 @@ def test_c05_finite_n_convergence():
 def test_c06_s0_degenerations():
     with Budget(5.0):
         n = 7
-        kc = build_rescaled_circle_kernel(HPParam(0.0), n)
+        kc = build_finite_kernel(HPParam(0.0), n)
         for a in np.linspace(-2.0, 2.0, 9):
             for b in np.linspace(-2.0, 2.0, 9):
                 if abs(a - b) < 1e-9:
                     continue
-                got = eval_phi_n(kc, float(a), float(b))
+                got = phi_n_matrix(kc, [a], [b])[0, 0]
                 want = (math.sin((a - b) / 2)
                         / (2 * math.pi * n * math.sin((a - b) / (2 * n))))
                 assert abs(got - want) < 1e-12

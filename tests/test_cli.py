@@ -222,18 +222,48 @@ class TestExitCodes:
                 assert set(names) <= set(cli._PARAMS[command]) - set(cli._COMMON)
 
     @pytest.mark.parametrize("s", ["150", "169.9"])
-    def test_non_finite_table_is_one_without_file(self, capsys, tmp_path, monkeypatch, s):
-        # 2^(s+1/2) Gamma(s+3/2) overflows while J_{s+1/2}(1/x) underflows
+    def test_unrepresentable_vfunction_is_two_without_file(self, capsys, tmp_path,
+                                                           monkeypatch, s):
+        # 2^(s+1/2) Gamma(s+3/2) overflows a double past s = 149.64
         monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["table", "vfunction", "--s", s]) == 1
+            assert main(["table", "vfunction", "--s", s]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "not finite" in lines[0]
+        assert "overflows" in lines[0]
         assert list(tmp_path.iterdir()) == []
+
+    def test_vfunction_below_overflow_is_zero(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        rc, rep = run(capsys, ["table", "vfunction", "--s", "145"])
+        assert rc == 0 and rep["rows"] == 20
+        data = np.loadtxt(rep["path"], delimiter=",", skiprows=2)
+        assert np.all(np.isfinite(data))
+
+    def test_kernels_where_norm_fits_is_zero(self, capsys):
+        # ||V||^2 ~ 1e301 at s = 100, N = 64: formed in logs, it fits
+        rc, rep = run(capsys, ["check", "kernels", "--s", "100", "--N", "64"])
+        assert rc == 0 and rep["passed"] is True
+
+    @pytest.mark.parametrize("s, N", [("103", "64"), ("175", "8")])
+    def test_kernels_unrepresentable_is_two(self, capsys, s, N):
+        # ||V||^2 (s = 103) or Gamma(s+3/2) (s = 175) overflows a double
+        assert main(["check", "kernels", "--s", s, "--N", N]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize("N", ["2", "8", "64"])
+    def test_kernels_large_s_computed_or_refused(self, capsys, N):
+        for s in ("60", "110", "150", "511"):
+            rc = main(["check", "kernels", "--s", s, "--N", N])
+            captured = capsys.readouterr()
+            assert rc in (0, 2), (s, N)
+            assert "Traceback" not in captured.err
 
     def test_closed_stdout_is_one_without_traceback(self):
         src = os.path.dirname(os.path.dirname(hpkernels.__file__))

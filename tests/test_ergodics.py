@@ -27,7 +27,7 @@ from hpkernels.sampling import (
     sample_hp_matrix_s0_batch,
     sample_projection_dpp_batch,
 )
-from hpkernels.weights_opuc import CircleWeight, HPParam, build_opuc, cd_sum_circle
+from hpkernels.weights_opuc import HPParam, build_opuc, cd_sum_circle
 
 
 class TestTent:
@@ -134,7 +134,7 @@ class TestSecondMoment:
     def test_circle_moment_matches_pointwise_cd_sums(self):
         # reference: the circle density node by node through cd_sum_circle
         for s, N, eps in [(0.5, 6, 0.3), (-0.3, 10, 0.1)]:
-            basis = build_opuc(CircleWeight(HPParam(s), "lambda"), N)
+            basis = build_opuc(HPParam(s), N)
             t, w = ergodics._half_window_nodes(2.0 * math.atan(N * eps), N)
             vals = np.array([cd_sum_circle(basis, N, ti, ti).real for ti in t])
             ref = 2.0 * float(np.sum(w * np.tan(t / 2.0) ** 2 * vals / (2.0 * math.pi)))

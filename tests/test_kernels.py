@@ -21,19 +21,18 @@ from hpkernels.kernels import (
     ProjectionQuad,
     VFunction,
     build_finite_kernel,
-    build_rescaled_circle_kernel,
     check_finite_recurrence,
     check_limit_recurrence,
     check_projection,
     convergence_profile,
     eval_limit_kernel,
-    eval_phi_n,
     eval_V,
     limit_kernel_matrix,
+    phi_n_matrix,
     v_norm_sq_closed,
     v_norm_sq_quadrature,
 )
-from oracles import de_nodes
+from oracles import de_nodes, reflected_phi_n
 from hpkernels.weights_opuc import HPParam, eval_line_weight
 
 # frozen references (40-digit offline generator)
@@ -177,45 +176,86 @@ class TestDensityTransport:
         assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-10
 
 
+def phi_at(k, alpha, beta):
+    """phi_n at one angle pair, as the 1x1 grid."""
+    return complex(phi_n_matrix(k, [alpha], [beta])[0, 0])
+
+
 class TestPhiN:
     def test_s0_closed_form(self):
-        k = build_rescaled_circle_kernel(HPParam(0.0), 5)
+        k = build_finite_kernel(HPParam(0.0), 5)
         for a, b in [(2.0, -3.0), (7.5, 1.2), (12.0, -12.0)]:
-            got = eval_phi_n(k, a, b)
+            got = phi_at(k, a, b)
             want = math.sin((a - b) / 2) / (2 * math.pi * 5 * math.sin((a - b) / 10))
             assert got.real == pytest.approx(want, abs=1e-12)
             assert abs(got.imag) < 1e-12
 
     def test_frozen_value_s0(self):
-        k = build_rescaled_circle_kernel(HPParam(0.0), 2)
-        got = eval_phi_n(k, math.pi, 0.0)
+        k = build_finite_kernel(HPParam(0.0), 2)
+        got = phi_at(k, math.pi, 0.0)
         assert got.real == pytest.approx(float(PHI_S0_N2), rel=1e-12)
 
     def test_frozen_value_s1(self):
-        k = build_rescaled_circle_kernel(HPParam(1.0), 3)
-        got = eval_phi_n(k, 2.0, -1.0)
+        k = build_finite_kernel(HPParam(1.0), 3)
+        got = phi_at(k, 2.0, -1.0)
         assert got.real == pytest.approx(float(PHI_S1_N3), rel=1e-12)
         assert abs(got.imag) < 1e-14
 
     def test_diagonal_real_nonnegative(self):
-        k = build_rescaled_circle_kernel(HPParam(0.5), 4)
+        k = build_finite_kernel(HPParam(0.5), 4)
         for a in np.linspace(-11.0, 11.0, 9):
-            v = eval_phi_n(k, a, a)
+            v = phi_at(k, a, a)
             assert abs(v.imag) < 1e-14
             assert v.real >= 0.0
 
     def test_hermitian(self):
-        k = build_rescaled_circle_kernel(HPParam(0.5), 4)
-        v = eval_phi_n(k, 1.3, -2.7)
-        w = eval_phi_n(k, -2.7, 1.3)
+        k = build_finite_kernel(HPParam(0.5), 4)
+        v = phi_at(k, 1.3, -2.7)
+        w = phi_at(k, -2.7, 1.3)
         assert v == pytest.approx(np.conj(w), rel=1e-13)
 
     def test_window(self):
-        k = build_rescaled_circle_kernel(HPParam(0.5), 3)
+        k = build_finite_kernel(HPParam(0.5), 3)
         with pytest.raises(DomainError):
-            eval_phi_n(k, 3 * math.pi, 0.0)
+            phi_at(k, 3 * math.pi, 0.0)
         with pytest.raises(DomainError):
-            eval_phi_n(k, 0.0, -9.5)
+            phi_at(k, 0.0, -9.5)
+
+    @pytest.mark.parametrize("s", [-0.3, 0.0, 0.5, 1.3, 7.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_rotation_matches_reflected_weight(self, s, n):
+        # the rotated angle a/n -+ pi is rounded to within one ulp(pi) of
+        # the exact one, which moves log lambda by |s| |cot(a/2n)| ulp(pi)/2:
+        # beside the 1e-15 floor, the tolerance carries that term per angle
+        rng = np.random.default_rng(20)
+        k = build_finite_kernel(HPParam(s), n)
+        ulp = np.spacing(np.pi)
+        near_singular = [[1e-3 * n, 0.5 * n], [-2e-3 * n, -1e-3 * n]]
+        for a, b in np.vstack([rng.uniform(-n * np.pi, n * np.pi, (20, 2)), near_singular]):
+            ref = reflected_phi_n(s, n, a, b)
+            angle = 0.5 * abs(s) * ulp * (abs(1.0 / math.tan(a / (2 * n)))
+                                          + abs(1.0 / math.tan(b / (2 * n))))
+            tol = 1e-15 * max(1.0, abs(ref)) + angle * abs(ref)
+            assert abs(phi_at(k, a, b) - ref) <= tol
+
+    @pytest.mark.parametrize("s", [-0.3, 0.5])
+    def test_grid_matches_pointwise(self, s):
+        k = build_finite_kernel(HPParam(s), 5)
+        grid = np.linspace(-15.0, 15.0, 12)
+        G = phi_n_matrix(k, grid, grid)
+        one = np.array([[phi_at(k, a, b) for b in grid] for a in grid])
+        assert np.all(np.abs(G - one) <= 1e-15 * np.maximum(1.0, np.abs(one)))
+
+    def test_line_route_rejected(self):
+        k = build_finite_kernel(HPParam(0.5), 4, "line_direct")
+        with pytest.raises(DomainError):
+            phi_n_matrix(k, [1.0], [2.0])
+
+    def test_singular_angle_for_negative_s(self):
+        # the rotated weight blows up at angle 0, as the reflected one did
+        k = build_finite_kernel(HPParam(-0.3), 4)
+        with pytest.raises(DomainError):
+            phi_n_matrix(k, [0.0], [1.0])
 
 
 class TestLimitKernel:

@@ -21,7 +21,6 @@ from hpkernels.errors import (
 )
 from oracles import de_nodes
 from hpkernels.weights_opuc import (
-    CircleWeight,
     HPParam,
     build_monic_line,
     build_opuc,
@@ -49,7 +48,8 @@ OPUC_S1_ROWS = [
     ],
 ]
 
-# same construction for the reflected weight (2-2cos)^s at s=1/2
+# same construction for the reflected weight (2-2cos)^s at s=1/2, the
+# rotation of (2+2cos)^s by pi
 OPUC_W_S05_ROWS = [
     ["1.0"],
     ["0.35355339059327376220042218105242", "1.0606601717798212866012665431573"],
@@ -94,46 +94,28 @@ class TestParam:
 
 class TestCircleWeight:
     def test_values(self):
-        w = CircleWeight(HPParam(1.0), "lambda")
-        assert eval_circle_weight(w, 0.0) == pytest.approx(4.0, rel=1e-15)
-        assert eval_circle_weight(w, math.pi / 2) == pytest.approx(2.0, rel=1e-14)
-        ww = CircleWeight(HPParam(1.0), "w")
-        assert eval_circle_weight(ww, math.pi) == pytest.approx(4.0, rel=1e-15)
-
-    def test_reflection_between_kinds(self):
-        # both kinds are even, so lambda(theta) = w(pi - |theta|)
-        w = CircleWeight(HPParam(0.7), "lambda")
-        ww = CircleWeight(HPParam(0.7), "w")
-        th = np.linspace(-3.0, 3.0, 41)
-        a = eval_circle_weight(w, th)
-        b = eval_circle_weight(ww, np.pi - np.abs(th))
-        np.testing.assert_allclose(a, b, rtol=1e-13)
+        # probability-normalized: c_1 = Gamma(2)^2/Gamma(3) = 1/2
+        p = HPParam(1.0)
+        assert eval_circle_weight(p, 0.0) == pytest.approx(2.0, rel=1e-15)
+        assert eval_circle_weight(p, math.pi / 2) == pytest.approx(1.0, rel=1e-14)
 
     def test_singular_endpoint(self):
-        w = CircleWeight(HPParam(-0.3), "lambda")
         with pytest.raises(DomainError):
-            eval_circle_weight(w, math.pi)
+            eval_circle_weight(HPParam(-0.3), math.pi)
         # positive s: zero, not singular
-        w2 = CircleWeight(HPParam(0.5), "lambda")
-        assert eval_circle_weight(w2, math.pi) == 0.0
+        assert eval_circle_weight(HPParam(0.5), math.pi) == 0.0
 
     def test_out_of_range_angle(self):
-        w = CircleWeight(HPParam(0.5), "lambda")
         with pytest.raises(DomainError):
-            eval_circle_weight(w, 3.5)
+            eval_circle_weight(HPParam(0.5), 3.5)
 
     def test_normalization_constant(self):
-        # Gamma(s+1)^2/Gamma(2s+1) against direct quadrature of the weight
+        # the normalized weight integrates to one against d theta/2pi
         for s in (0.5, 1.0, 1.7):
-            w = CircleWeight(HPParam(s), "lambda")
             th, wt = de_nodes(4000)
             th, wt = th * np.pi, wt * np.pi
-            total = np.sum(wt * eval_circle_weight(w, th)) / (2 * np.pi)
-            assert w.normalization() * total == pytest.approx(1.0, rel=1e-11)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            CircleWeight(HPParam(0.5), "mu")
+            total = np.sum(wt * eval_circle_weight(HPParam(s), th)) / (2 * np.pi)
+            assert total == pytest.approx(1.0, rel=1e-11)
 
 
 class TestLineWeight:
@@ -153,50 +135,49 @@ class TestLineWeight:
 class TestTrigMoments:
     def test_product_values(self):
         p = HPParam(1.0)
-        assert trig_moment(p, 0, "lambda") == 1.0
-        assert trig_moment(p, 1, "lambda") == pytest.approx(0.5, rel=1e-15)
-        assert trig_moment(p, 2, "lambda") == 0.0  # (s+1-2) = 0 at s=1
-        assert trig_moment(p, 1, "w") == pytest.approx(-0.5, rel=1e-15)
+        assert trig_moment(p, 0) == 1.0
+        assert trig_moment(p, 1) == pytest.approx(0.5, rel=1e-15)
+        assert trig_moment(p, 2) == 0.0  # (s+1-2) = 0 at s=1
 
     @pytest.mark.parametrize("s", [0.5, 1.7, -0.3])
     def test_against_quadrature(self, s):
-        w = CircleWeight(HPParam(s), "lambda")
         th, wt = de_nodes(6000)
         th, wt = th * np.pi, wt * np.pi
-        lam = eval_circle_weight(w, th, normalized=True)
+        lam = eval_circle_weight(HPParam(s), th)
         # the blowup endpoint caps double-precision quadrature near
         # (1e-16)^(1+2s) for s < 0; smooth cases resolve fully
         tol = 1e-5 if s < 0 else 5e-11
         for k in range(1, 5):
             num = np.sum(wt * lam * np.exp(-1j * k * th)) / (2 * np.pi)
-            got = trig_moment(HPParam(s), k, "lambda")
+            got = trig_moment(HPParam(s), k)
             assert num.real == pytest.approx(got, abs=tol)
             assert abs(num.imag) < tol
 
     def test_negative_index(self):
         # for real s the moments are real, so m_{-k} = conj(m_k) = m_k
-        assert trig_moment(HPParam(0.8), -2, "lambda") == pytest.approx(
-            trig_moment(HPParam(0.8), 2, "lambda"), rel=1e-15
+        assert trig_moment(HPParam(0.8), -2) == pytest.approx(
+            trig_moment(HPParam(0.8), 2), rel=1e-15
         )
 
     @given(st.floats(-0.45, 3.0), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_bounded_by_one(self, s, k):
         # normalized moments of a probability measure
-        assert abs(trig_moment(HPParam(s), k, "lambda")) <= 1.0 + 1e-15
+        assert abs(trig_moment(HPParam(s), k)) <= 1.0 + 1e-15
 
 
 class TestOPUC:
     def test_frozen_rows_lambda(self):
-        b = build_opuc(CircleWeight(HPParam(1.0), "lambda"), 3)
+        b = build_opuc(HPParam(1.0), 3)
         P = b.eval_all(FROZEN_Z)
         for i, row in enumerate(OPUC_S1_ROWS):
             want = polyval(FROZEN_Z, np.array([float(c) for c in row]))
             np.testing.assert_allclose(P[:, i], want, rtol=1e-14, atol=1e-15)
 
     def test_frozen_rows_w(self):
-        b = build_opuc(CircleWeight(HPParam(0.5), "w"), 3)
-        P = b.eval_all(FROZEN_Z)
+        # the reflected weight's basis is the rotated one, (-1)^k p_k(-z)
+        b = build_opuc(HPParam(0.5), 3)
+        P = b.eval_all(-FROZEN_Z) * np.array([1.0, -1.0, 1.0])
         for i, row in enumerate(OPUC_W_S05_ROWS):
             want = polyval(FROZEN_Z, np.array([float(c) for c in row]))
             np.testing.assert_allclose(P[:, i], want, rtol=1e-14, atol=1e-15)
@@ -204,7 +185,7 @@ class TestOPUC:
     def test_s_zero_is_monomials(self):
         # short dyadic points: every power is exact, whatever the rounding path
         z = np.array([0.0, 1.0, -1.0, 1j, -0.5 + 0.75j, 1.5 - 0.25j])
-        b = build_opuc(CircleWeight(HPParam(0.0), "lambda"), 6)
+        b = build_opuc(HPParam(0.0), 6)
         powers = np.cumprod(np.repeat(z[:, None], 5, axis=1), axis=1)
         want = np.hstack([np.ones((z.size, 1)), powers])
         assert np.array_equal(b.eval_all(z), want)
@@ -212,10 +193,10 @@ class TestOPUC:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0])
     def test_gram_orthonormality(self, s):
         # double-exponential quadrature resolves the endpoint corner
-        b = build_opuc(CircleWeight(HPParam(s), "lambda"), 40)
+        b = build_opuc(HPParam(s), 40)
         th, wt = de_nodes(10000)
         th, wt = th * np.pi, wt * np.pi
-        lam = eval_circle_weight(CircleWeight(HPParam(s), "lambda"), th, normalized=True)
+        lam = eval_circle_weight(HPParam(s), th)
         P = b.eval_all(np.exp(1j * th))
         G = (P.conj().T * (wt * lam)) @ P / (2 * np.pi)
         assert np.max(np.abs(G - np.eye(40))) < 1e-10
@@ -223,43 +204,43 @@ class TestOPUC:
     def test_gram_orthonormality_negative_s(self):
         # endpoint blowup limits double precision to ~(1e-16)^(1+2s)
         s = -0.3
-        b = build_opuc(CircleWeight(HPParam(s), "lambda"), 40)
+        b = build_opuc(HPParam(s), 40)
         th, wt = de_nodes(10000)
         th, wt = th * np.pi, wt * np.pi
-        lam = eval_circle_weight(CircleWeight(HPParam(s), "lambda"), th, normalized=True)
+        lam = eval_circle_weight(HPParam(s), th)
         P = b.eval_all(np.exp(1j * th))
         G = (P.conj().T * (wt * lam)) @ P / (2 * np.pi)
         assert np.max(np.abs(G - np.eye(40))) < 1e-6
 
     def test_certified_residual(self):
-        b = build_opuc(CircleWeight(HPParam(0.8), "lambda"), 50)
+        b = build_opuc(HPParam(0.8), 50)
         assert b.gram_residual < 1e-8
 
     def test_degree_bounds(self):
         with pytest.raises(DomainError):
-            build_opuc(CircleWeight(HPParam(0.5), "lambda"), 0)
+            build_opuc(HPParam(0.5), 0)
         with pytest.raises(DomainError):
-            build_opuc(CircleWeight(HPParam(-0.6), "lambda"), 4)
+            build_opuc(HPParam(-0.6), 4)
 
 
 class TestCDSums:
     def test_identity_residual_small(self):
-        b = build_opuc(CircleWeight(HPParam(0.7), "lambda"), 8)
+        b = build_opuc(HPParam(0.7), 8)
         for th, ta in [(1.1, -0.4), (2.5, 0.3), (0.2, 3.0)]:
             assert cd_identity_residual(b, 5, th, ta) < 1e-12
 
     def test_identity_needs_next_degree(self):
-        b = build_opuc(CircleWeight(HPParam(0.7), "lambda"), 4)
+        b = build_opuc(HPParam(0.7), 4)
         with pytest.raises(DegreeError):
             cd_identity_residual(b, 4, 1.0, 0.5)
 
     def test_coincidence_rejected(self):
-        b = build_opuc(CircleWeight(HPParam(0.7), "lambda"), 4)
+        b = build_opuc(HPParam(0.7), 4)
         with pytest.raises(DomainError):
             cd_identity_residual(b, 2, 1.0, 1.0)
 
     def test_diagonal_positive(self):
-        b = build_opuc(CircleWeight(HPParam(0.4), "lambda"), 6)
+        b = build_opuc(HPParam(0.4), 6)
         for th in np.linspace(-3.0, 3.0, 11):
             v = cd_sum_circle(b, 6, th, th)
             assert v.imag == pytest.approx(0.0, abs=1e-13)
@@ -267,7 +248,7 @@ class TestCDSums:
 
     def test_dirichlet_at_s_zero(self):
         # flat weight reduces the sum to the Dirichlet kernel
-        b = build_opuc(CircleWeight(HPParam(0.0), "lambda"), 7)
+        b = build_opuc(HPParam(0.0), 7)
         a, t = 1.3, 0.4
         got = cd_sum_circle(b, 7, a, t)
         want = np.exp(1j * 3.5 * (a - t) - 0.5j * (a - t)) * np.sin(
@@ -285,7 +266,7 @@ class TestGolinskiiEnvelope:
             return (np.abs(1.0 + np.exp(1j * theta)) + 1.0 / (n + 1.0)) ** (-p.s)
 
         p = HPParam(s)
-        b = build_opuc(CircleWeight(p, "lambda"), 101)
+        b = build_opuc(p, 101)
         th = np.linspace(-3.1, 3.1, 200)
         P = np.abs(b.eval_all(np.exp(1j * th)))
         r10 = P[:, 10] / golinskii_envelope(p, 10, th)
