@@ -252,7 +252,12 @@ def _merge_runspec(args: argparse.Namespace) -> RunSpec:
     return RunSpec(command, params)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+# the kernel and phi_n tables form a count x count complex matrix; a grid
+# whose matrix would take more bytes than this is refused before any work
+_TABLE_BYTES = 1 << 28
+
+
+def _parse_grid(spec: str, square: bool = False) -> np.ndarray:
     try:
         a_s, b_s, n_s = spec.split(":")
         a, b, count = float(a_s), float(b_s), int(n_s)
@@ -262,6 +267,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise SpecError("grid ends must be finite")
     if count < 2 or not a < b:
         raise SpecError("grid needs a < b and count >= 2")
+    nbytes = count * count * np.dtype(complex).itemsize
+    if square and nbytes > _TABLE_BYTES:
+        raise SpecError(f"a {count} x {count} table takes {nbytes >> 20} MiB, "
+                        f"over the {_TABLE_BYTES >> 20} MiB budget")
     pts = np.linspace(a, b, count)
     if np.any(pts == 0.0):
         raise SpecError("grid must exclude 0")
@@ -311,7 +320,7 @@ def _validate(spec: RunSpec) -> None:
         _require_s(p, "table")
         _require(p["N"] >= 1, "N >= 1 required")
         _require(p["n"] >= 1, "n >= 1 required")
-        grid = _parse_grid(p["grid"])
+        grid = _parse_grid(p["grid"], square=p["kind"] in ("kernel", "phi_n"))
         if p["kind"] == "vfunction":
             s = p["s"]
             _require((s + 0.5) * math.log(2.0) + math.lgamma(s + 1.5) < _LN_MAX,
@@ -699,6 +708,9 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     try:
         report, passed = _COMMANDS[spec.command](spec)
     except SpecError as e:

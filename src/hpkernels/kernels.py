@@ -21,6 +21,7 @@ read off the circle route's own basis at the rotated angles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -178,20 +179,21 @@ class LimitKernel:
             raise DomainError("limit kernel requires s > -1/2")
 
 
-def _j_general(nu: float, z: np.ndarray) -> np.ndarray:
-    """J_nu for nu > -1, extending the nu >= -1/2 evaluator one step down
-    via J_{nu}(z) = (2(nu+1)/z) J_{nu+1}(z) - J_{nu+2}(z)."""
+def _limit_ab(s: float, z: np.ndarray):
+    """(J_{s-1/2}(z), J_{s+1/2}(z)) with J_{s+1/2} evaluated once; below
+    order -1/2, J_{s-1/2}(z) = ((2s+1)/z) J_{s+1/2}(z) - J_{s+3/2}(z)
+    (DLMF 10.6.1) takes J_{s-1/2} one step down from it."""
+    nu = s - 0.5
+    b = bessel_j(s + 0.5, z)
     if nu >= -0.5:
-        return bessel_j(nu, z)
-    return 2.0 * (nu + 1.0) / z * bessel_j(nu + 1.0, z) - bessel_j(nu + 2.0, z)
+        return bessel_j(nu, z), b
+    return (2.0 * s + 1.0) / z * b - bessel_j(s + 1.5, z), b
 
 
 def _limit_FG(s: float, x: np.ndarray):
     ax = np.abs(x)
-    z = 1.0 / ax
-    F = _j_general(s - 0.5, z) / (2.0 * np.sqrt(ax))
-    G = np.sign(x) * bessel_j(s + 0.5, z) / np.sqrt(ax)
-    return F, G
+    a, b = _limit_ab(s, 1.0 / ax)
+    return a / (2.0 * np.sqrt(ax)), np.sign(x) * b / np.sqrt(ax)
 
 
 def _limit_diag(s: float, x: np.ndarray) -> np.ndarray:
@@ -203,8 +205,7 @@ def _limit_diag(s: float, x: np.ndarray) -> np.ndarray:
     at s = 0 it is 1/(pi x^2).
     """
     z = 1.0 / np.abs(x)
-    a = _j_general(s - 0.5, z)
-    b = bessel_j(s + 0.5, z)
+    a, b = _limit_ab(s, z)
     return z * z * (0.5 * z * (a * a + b * b) - s * a * b)
 
 
@@ -283,9 +284,11 @@ def eval_V(v: VFunction, x):
         )
     else:
         N = v.N
-        # p_{N-1}(t) sqrt(phi_N(t)) = sqrt(h_{N-1}) times the orthonormal function
-        top = v.monic.eval_weighted(N * xx)[:, N - 1] * math.sqrt(v.monic.sq_norms[N - 1])
-        out = N ** (1.0 + s) * np.sign(xx) ** N * top
+        # p_{N-1}(t) sqrt(phi_N(t)) = sqrt(h_{N-1}) times the orthonormal
+        # function; N^{1+s} sqrt(h_{N-1}) is taken in logs, as its factors
+        # overflow separately where the product does not
+        scale = math.exp(0.5 * (log_v_norm_sq(s, N) + math.log(N)))
+        out = scale * np.sign(xx) ** N * v.monic.eval_weighted(N * xx)[:, N - 1]
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -357,14 +360,32 @@ def _graded_edges(a: float, b: float, grade: float) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _kernel_products(k: LimitKernel, x: float, y: float, g: np.ndarray) -> np.ndarray:
-    s = k.param.s
-    Fg, Gg = _limit_FG(s, g)
-    Fx, Gx = _limit_FG(s, np.array([x]))
-    Fy, Gy = _limit_FG(s, np.array([y]))
-    Kxg = (Fx[0] * Gg - Fg * Gx[0]) / (x - g)
-    Kgy = (Fg * Gy[0] - Fy[0] * Gg) / (g - y)
-    return Kxg * Kgy
+def _pm_products(x: float, y: float, FGxy, a: np.ndarray, F, G):
+    """K(x,g) K(g,y) at g = +a and at g = -a, from F, G evaluated once at
+    a > 0 by parity: F(-g) = F(g), G(-g) = -G(g); FGxy holds F, G at
+    [x, y].  Nodes within 1e-9 of x or y add exactly 0."""
+    (Fx, Fy), (Gx, Gy) = FGxy
+    out = []
+    for g, Gg in ((a, G), (-a, -G)):
+        keep = (np.abs(g - x) > 1e-9) & (np.abs(g - y) > 1e-9)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (Fx * Gg - F * Gx) / (x - g) * ((F * Gy - Fy * Gg) / (g - y))
+        out.append(np.where(keep, vals, 0.0))
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _inner_table(s: float, q: ProjectionQuad):
+    """Nodes t, weights w and F, G at g = 1/t on the inner region |g| <
+    delta of check_projection; independent of (x, y), hence kept per
+    (s, plan) and read-only."""
+    t0 = 1.0 / q.delta
+    n_panels = int(math.ceil((q.t_max - t0) / math.pi))
+    tg, tw = panel_nodes(t0, q.t_max, n_panels, q.nodes)
+    table = (tg, tw, *_limit_FG(s, 1.0 / tg))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def check_projection(
@@ -382,6 +403,11 @@ def check_projection(
     ~ R^(-2s-1) (O(1/R) at s=0 and dominant there), plus the unresolved
     window |g| < 1/t_max inside the oscillatory region, a floor ~ 1e-5 at
     the default plan that only matters once the tail piece is smaller.
+
+    F and G are evaluated once per node |g| and shared by g = +|g| and
+    g = -|g| through their parity.  The inner region |g| < delta does not
+    depend on (x, y): its nodes, weights and F, G are held per (s, plan),
+    about 1.6 MB at the default plan, at most 4 entries.
     """
     s = k.param.s
     if s < -0.49:
@@ -389,23 +415,15 @@ def check_projection(
     q = quad or ProjectionQuad()
     if R_trunc <= 2.0 * max(abs(x), abs(y), 1.0):
         raise DomainError("R_trunc too small for the tail estimate")
+    FGxy = _limit_FG(s, np.array([x, y]))
     total = 0.0
     # inner oscillatory region via t = 1/gamma on both sides
-    t0 = 1.0 / q.delta
-    n_panels = int(math.ceil((q.t_max - t0) / math.pi))
-    tg, tw = panel_nodes(t0, q.t_max, n_panels, q.nodes)
-    for sgn in (1.0, -1.0):
-        g = sgn / tg
-        vals = _kernel_products(k, x, y, g)
+    tg, tw, F, G = _inner_table(s, q)
+    for vals in _pm_products(x, y, FGxy, 1.0 / tg, F, G):
         total += float(np.sum(tw * vals / (tg * tg)))
     # graded panels on delta <= |gamma| <= R
     g_nodes, g_w = gauss_panels(_graded_edges(q.delta, R_trunc, q.grade), q.nodes)
-    for sgn in (1.0, -1.0):
-        g = sgn * g_nodes
-        keep = np.abs(g - x) > 1e-9
-        keep &= np.abs(g - y) > 1e-9
-        vals = np.zeros_like(g)
-        vals[keep] = _kernel_products(k, x, y, g[keep])
+    for vals in _pm_products(x, y, FGxy, g_nodes, *_limit_FG(s, g_nodes)):
         total += float(np.sum(g_w * vals))
     if not math.isfinite(total):
         raise QuadFailure("projection quadrature produced non-finite value")

@@ -84,7 +84,7 @@ class TestExitCodes:
             assert json.loads(captured.out)["passed"] is (code == 0)
 
     @pytest.mark.parametrize("argv", [
-        ["table", "kernel", "--grid", "0.1:3:1000000"],
+        ["table", "vfunction", "--grid", "0.1:3:100000000000000000"],
         ["experiment", "gamma1", "--M", "1000000", "--draws", "1"],
         ["sample", "--N", "10000000", "--draws", "1"],
     ])
@@ -99,6 +99,34 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "MemoryError" in lines[0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["kernel", "phi_n"])
+    def test_oversize_table_is_two_without_file(self, capsys, tmp_path, monkeypatch, kind):
+        # the 10^6 x 10^6 table would take 15 TiB: refused from its byte
+        # count before any feature matrix is built
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        assert main(["table", kind, "--grid", "0.1:3:1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "budget" in lines[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_budget_is_bytes(self, capsys, tmp_path, monkeypatch):
+        # a 12 x 12 table of complex doubles takes 2304 bytes: a budget of
+        # exactly that admits it, byte for byte as under the default budget,
+        # and one byte less refuses it
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        argv = ["table", "kernel", "--s", "0.25", "--N", "4", "--grid", "0.2:2:12"]
+        assert main([*argv, "--out", "a.csv"]) == 0
+        monkeypatch.setattr(cli, "_TABLE_BYTES", 12 * 12 * 16)
+        assert main([*argv, "--out", "b.csv"]) == 0
+        monkeypatch.setattr(cli, "_TABLE_BYTES", 12 * 12 * 16 - 1)
+        assert main([*argv, "--out", "c.csv"]) == 2
+        capsys.readouterr()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("flag", [["--s", "inf"], ["--s=-inf"], ["--s", "nan"]])
     def test_non_finite_float_is_two(self, capsys, flag):
@@ -246,6 +274,12 @@ class TestExitCodes:
     def test_kernels_where_norm_fits_is_zero(self, capsys):
         # ||V||^2 ~ 1e301 at s = 100, N = 64: formed in logs, it fits
         rc, rep = run(capsys, ["check", "kernels", "--s", "100", "--N", "64"])
+        assert rc == 0 and rep["passed"] is True
+
+    def test_kernels_where_prelimit_scale_fits_is_zero(self, capsys):
+        # N^{1+s} = 4000^86 overflows a double, N^{1+s} sqrt(h_{N-1}) does
+        # not: the prelimit V forms it in logs
+        rc, rep = run(capsys, ["check", "kernels", "--s", "85", "--N", "4000"])
         assert rc == 0 and rep["passed"] is True
 
     @pytest.mark.parametrize("s, N", [("103", "64"), ("175", "8")])

@@ -7,6 +7,7 @@ Bessel evaluation, and the diagonal through the analytic derivative.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -23,6 +24,9 @@ from hpkernels.kernels import (
     build_finite_kernel,
     check_finite_recurrence,
     check_limit_recurrence,
+    _inner_table,
+    _limit_FG,
+    _pm_products,
     check_projection,
     convergence_profile,
     eval_limit_kernel,
@@ -302,6 +306,24 @@ class TestLimitKernel:
                 assert eval_limit_kernel(k, x, x) == pytest.approx(ref, rel=1e-12)
                 assert eval_limit_kernel(k, -x, -x) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [-0.45, -0.3])
+    def test_F_below_order_minus_half_matches_mpmath(self, s):
+        # J_{s-1/2} is one recurrence step down from J_{s+1/2} here, and it
+        # has zeros in range: the error is measured against the size of the
+        # two terms of the step, ((2s+1)/z) J_{s+1/2}(z) and J_{s+3/2}(z)
+        xs = np.geomspace(0.05, 20.0, 40)
+        F, _ = _limit_FG(s, np.concatenate([xs, -xs]))
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(s) - 0.5
+            for i, x in enumerate(xs):
+                t = mpmath.mpf(x)
+                half = 2 * mpmath.sqrt(t)
+                ref = float(mpmath.besselj(nu, 1 / t) / half)
+                size = float((abs((2 * nu + 2) * t * mpmath.besselj(nu + 1, 1 / t))
+                              + abs(mpmath.besselj(nu + 2, 1 / t))) / half)
+                assert abs(F[i] - ref) <= 1e-13 * size, x
+                assert F[i + xs.size] == F[i]
+
     def test_near_diagonal_matrix_entries_equal_scalar(self):
         k = LimitKernel(HPParam(0.7))
         xs = np.array([0.6, 0.6 * (1 + 4e-6), 1.3, 1.3 + 2e-9, -2.2, -2.2 * (1 - 9e-6)])
@@ -366,6 +388,25 @@ class TestLimitKernel:
 
 
 class TestVFunction:
+    @pytest.mark.parametrize("s", [-0.3, 0.5, 3.0])
+    @pytest.mark.parametrize("N", [2, 8, 64])
+    def test_prelimit_scale_from_logs(self, s, N):
+        # N^{1+s} sqrt(h_{N-1}) comes from lgamma; against the 40-digit
+        # closed form of h_{N-1} and against the product N^{1+s} times the
+        # recurrence's sqrt(h_{N-1}), each route carries up to ~2e-14 at N = 64
+        v = VFunction(HPParam(s), "prelimit", N)
+        x = np.array([-2.3, -0.7, -0.05, 0.01, 0.4, 1.0, 3.3, 17.0])
+        unit = np.sign(x) ** N * v.monic.eval_weighted(N * x)[:, N - 1]
+        with mpmath.workdps(40):
+            S = mpmath.mpf(s)
+            h = (mpmath.pi * 2 ** (-2 * S) * mpmath.gamma(2 * S + 1) * mpmath.gamma(2 * S + 2)
+                 * mpmath.gamma(N) / (mpmath.gamma(S + 1) ** 2 * mpmath.gamma(N + 1 + 2 * S)))
+            exact = float(mpmath.mpf(N) ** (1 + S) * mpmath.sqrt(h))
+        product = N ** (1.0 + s) * math.sqrt(v.monic.sq_norms[N - 1])
+        got = eval_V(v, x)
+        np.testing.assert_allclose(got, exact * unit, rtol=4e-14, atol=0)
+        np.testing.assert_allclose(got, product * unit, rtol=4e-14, atol=0)
+
     def test_sine_special_case(self):
         v = VFunction(HPParam(0.0))
         assert eval_V(v, 2.0 / math.pi) == pytest.approx(1.0, rel=1e-13)
@@ -428,6 +469,53 @@ class TestProjection:
         r5, b5 = check_projection(k5, 0.7, 0.7, 100.0)
         assert r5 < 1e-3
         assert r5 <= b5
+        # below s = 0 the tail decays like R^(-2s-1) and J_{s-1/2} comes
+        # from the recurrence step: only the certified bound holds
+        k3 = LimitKernel(HPParam(-0.3))
+        r3, b3 = check_projection(k3, 1.0, 2.0, 100.0)
+        assert r3 <= b3
+
+    def test_warm_table_equals_cold(self):
+        # bit for bit, and an entry serves only its own (s, plan)
+        runs = [(0.5, None), (0.5, ProjectionQuad(t_max=200.0)), (0.0, None)]
+
+        def run(s, q):
+            return check_projection(LimitKernel(HPParam(s)), 1.2, -0.8, 100.0, q)
+
+        cold = []
+        for s, q in runs:
+            _inner_table.cache_clear()
+            cold.append(run(s, q))
+        assert [run(s, q) for s, q in runs] == cold
+
+    def test_table_is_read_only(self):
+        for arr in _inner_table(0.5, ProjectionQuad()):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_parity_matches_direct_products(self):
+        # F, G at +a serve g = -a bit for bit: each product equals the one
+        # built from the kernel at the signed node
+        s, x, y = 0.25, 1.3, -0.6
+        k = LimitKernel(HPParam(s))
+        a = np.linspace(0.07, 9.0, 23)
+        FGxy = _limit_FG(s, np.array([x, y]))
+        plus, minus = _pm_products(x, y, FGxy, a, *_limit_FG(s, a))
+        for sgn, got in ((1.0, plus), (-1.0, minus)):
+            g = sgn * a
+            want = limit_kernel_matrix(k, [x], g)[0] * limit_kernel_matrix(k, g, [y])[:, 0]
+            assert np.array_equal(got, want)
+
+    def test_node_at_x_adds_zero_without_warning(self):
+        s, x, y = 0.5, 0.4, 2.0
+        a = np.array([0.3, x, 1.1])
+        FGxy = _limit_FG(s, np.array([x, y]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plus, minus = _pm_products(x, y, FGxy, a, *_limit_FG(s, a))
+        assert plus[1] == 0.0
+        assert np.all(np.isfinite(plus)) and np.all(np.isfinite(minus))
+        assert np.all(minus != 0.0)
 
     def test_halving_at_s0(self):
         # the certified chain is O(1/R) and tight at s=0
