@@ -472,6 +472,13 @@ def check_limit_recurrence(s: float, x: float, y: float) -> float:
     return abs(lhs - rhs)
 
 
+def _kernel_at(k: FiniteKernel, x: float, y: float) -> float:
+    """K(x, y) from one feature evaluation at both points, the product
+    formed as kernel_matrix forms it."""
+    F = k.feature_matrix([x, y])
+    return float((F[:1] @ F[1:].conj().T).real[0, 0])
+
+
 def check_finite_recurrence(s: float, N: int, x: float, y: float) -> float:
     """Residual of the finite-N shift identity: with P_N = sgn-corrected
     kernel, P_N^(s)(x,y) = sgn(x)sgn(y) (N/(N-1)) P_{N-1}^(s+1)(Nx/(N-1),
@@ -487,15 +494,16 @@ def check_finite_recurrence(s: float, N: int, x: float, y: float) -> float:
     kN = build_finite_kernel(HPParam(s), N, "circle_cayley")
     kM = build_finite_kernel(HPParam(s + 1.0), N - 1, "line_direct")
     sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
-    lhs = sx**N * sy**N * float(kN.kernel_matrix([x], [y])[0, 0])
+    lhs = sx**N * sy**N * _kernel_at(kN, x, y)
     u, w = N * x / (N - 1.0), N * y / (N - 1.0)
     pi_small = (
         math.copysign(1.0, u) ** (N - 1)
         * math.copysign(1.0, w) ** (N - 1)
-        * float(kM.kernel_matrix([u], [w])[0, 0])
+        * _kernel_at(kM, u, w)
     )
     v = VFunction(HPParam(s), "prelimit", N)
-    rank1 = float(eval_V(v, x) * eval_V(v, y)) / v_norm_sq_closed(v)
+    Vx, Vy = eval_V(v, [x, y])
+    rank1 = float(Vx * Vy) / v_norm_sq_closed(v)
     rhs = sx * sy * (N / (N - 1.0)) * pi_small + rank1
     return abs(lhs - rhs)
 

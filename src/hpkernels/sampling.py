@@ -117,11 +117,25 @@ def _prepare_grid(k: FiniteKernel, cfg: SamplerConfig):
 _CHUNK_BYTES = 1 << 23
 
 
+def _block_len(M: int, N: int) -> int:
+    """Rows per block: the least power of two L with L^2 >= M if 2 N^2 < M, else 1."""
+    return 1 << ((M - 1).bit_length() + 1) // 2 if 2 * N * N < M else 1
+
+
 def _draw_bytes(M: int, N: int, itemsize: int) -> int:
-    """Per-chunk bytes one draw adds: its M-long step buffers (residuals,
-    |product|^2, cumulative sums and comparison mask at 8 + 8 + 8 + 1 bytes,
-    and the product row at itemsize), and its N x N orthonormal vectors."""
-    return M * (25 + itemsize) + N * N * itemsize
+    """Per-chunk bytes one draw adds: its N x N vectors and the flat step
+    buffers (25 bytes + 1 item a grid row), or two-level block masses (25 bytes
+    a block), block rows and residuals (2 N items + 33 bytes a row), N^2 items."""
+    L = _block_len(M, N)
+    if L == 1:
+        return M * (25 + itemsize) + N * N * itemsize
+    return 25 * -(-M // L) + L * (33 + 2 * N * itemsize) + 2 * N * N * itemsize
+
+
+def _reach(c: np.ndarray, target: np.ndarray, out=None) -> np.ndarray:
+    """Per row of the cumulative sums c, the first index reaching target in [ulp(0), total]."""
+    cap = np.minimum(np.maximum(target, math.ulp(0.0)), c[:, -1])
+    return np.count_nonzero(np.less(c, cap[:, None], out=out), axis=1)
 
 
 def sequential_projection_draws(
@@ -134,26 +148,38 @@ def sequential_projection_draws(
     each draw picks row i with probability proportional to its residual
     |Q[i]|^2 - sum_k |Q[i] . w_k|^2, where w_1, w_2, ... are its earlier
     picks conj(Q[i]) made orthonormal (classical Gram-Schmidt, applied
-    twice).  Draws run in chunks; each step orthonormalizes the chunk's
-    picks at O(N step) per draw and updates all residuals with one
-    (chunk, N) @ (N, M) product, so the total stays O(n_draws M N^2) but
-    runs in BLAS-3.  A chunk holds as many draws as fit in _CHUNK_BYTES
-    (8 MiB; _draw_bytes counts each draw's M-long arrays and its N x N
-    vectors), at least one.  The first step is the same for every draw and
-    uses one shared cumulative sum.
+    twice).  Draws run in chunks that fit _CHUNK_BYTES (8 MiB, by
+    _draw_bytes).  When 2 N^2 < M, steps after the shared first one pick
+    in two levels, a tree search two deep (Gillenwater et al. 2019): the
+    rows fall in nb blocks of L (the last one zero-padded), L the least
+    power of two with L^2 >= M, whose N x N Grams are formed once; a step
+    lowers each block's mass by its new vector's quadratic form, picks a
+    block from the cumulative masses, then a row from that block's L
+    residuals, at O(nb N^2 + L N step) per draw.  Else (L = 1) one
+    (chunk, N) @ (N, M) product updates all M residuals, O(M N) per draw.
 
-    The uniforms are rng.random((n_draws, N)), the same stream as one
-    scalar rng.random() per step draw after draw; the rule per step is
-    unchanged (clamp at 0, cumulative sum, first index with
-    cdf >= u cdf[-1], capped at M - 1), so the draws are those of the
-    one-draw-at-a-time rank-one update of Q.
+    The uniforms are rng.random((n_draws, N)), one scalar per step draw
+    after draw; the rule per step is unchanged (clamp at 0, cumulative sum,
+    first index with cdf >= u cdf[-1] > 0), so the draws are those of the
+    one-draw-at-a-time rank-one update of Q save where u cdf[-1] is within
+    rounding of a row boundary (block masses and row residuals round apart;
+    a block left with no positive residual loses its mass, pick redone).
     """
     M, N = Q.shape
     u = rng.random((n_draws, N))
     row_p = np.einsum("ij,ij->i", Q, Q.conj()).real
     cdf = np.cumsum(np.maximum(row_p, 0.0))
     picks = np.empty((n_draws, N), dtype=np.int64)
-    picks[:, 0] = np.minimum(np.searchsorted(cdf, u[:, 0] * cdf[-1]), M - 1)
+    picks[:, 0] = np.searchsorted(cdf, np.clip(u[:, 0] * cdf[-1], math.ulp(0.0), cdf[-1]))
+    L = _block_len(M, N)
+    if L > 1:
+        # row b of G.T is conj(H_b), H_b = Q_b^T conj(Q_b), flattened to reals,
+        # so (w conj(w)).view(float64) @ G = Re(sum H_b w conj(w)) = |Q_b w|^2
+        G = np.stack([Qb.conj().T @ Qb for Qb in np.split(Q, range(L, M, L))])
+        G = G.reshape(-1, N * N).view(np.float64).T
+        row_p = np.append(row_p, np.zeros(-M % L)).reshape(-1, L)
+        full, tail = Q[:M - M % L].reshape(-1, L, N), np.zeros((L, N), Q.dtype)
+        tail[:M % L] = Q[M - M % L:]
     B = max(1, _CHUNK_BYTES // _draw_bytes(M, N, Q.itemsize))
     for start in range(0, n_draws, B):
         U = u[start:start + B]
@@ -162,11 +188,15 @@ def sequential_projection_draws(
         W = np.empty((len(U), N - 1, N), dtype=Q.dtype)
         # per-chunk buffers that every step writes into: a fresh (chunk, M)
         # temporary per step costs page faults once the allocator maps it
-        p = np.tile(row_p, (len(U), 1))
-        prod = np.empty((len(U), M), dtype=Q.dtype)
-        sq = np.empty((len(U), M))
-        cdf = np.empty((len(U), M))
-        below = np.empty((len(U), M), dtype=bool)
+        if L == 1:
+            p = np.tile(row_p, (len(U), 1))
+            prod = np.empty((len(U), M), dtype=Q.dtype)
+            sq = np.empty((len(U), M))
+            cdf = np.empty((len(U), M))
+            below = np.empty((len(U), M), dtype=bool)
+        else:
+            mass = np.tile(row_p.sum(axis=1), (len(U), 1))
+            Qg = np.empty((len(U), L, N), dtype=Q.dtype)
         for step in range(1, N):
             i = chunk[:, step - 1]
             v = Q[i].conj()
@@ -176,14 +206,34 @@ def sequential_projection_draws(
                 v -= np.einsum("bk,bkn->bn", h, Wk)
             v /= np.linalg.norm(v, axis=1)[:, None]
             W[:, step - 1] = v
-            np.matmul(v, Q.T, out=prod)
-            np.square(np.abs(prod, out=sq), out=sq)
-            np.subtract(p, sq, out=p)
-            p[rows, i] = 0.0
-            np.maximum(p, 0.0, out=p)
-            np.cumsum(p, axis=1, out=cdf)
-            np.less(cdf, (U[:, step] * cdf[:, -1])[:, None], out=below)
-            chunk[:, step] = np.minimum(np.count_nonzero(below, axis=1), M - 1)
+            if L == 1:
+                np.matmul(v, Q.T, out=prod)
+                np.square(np.abs(prod, out=sq), out=sq)
+                np.subtract(p, sq, out=p)
+                p[rows, i] = 0.0
+                np.maximum(p, 0.0, out=p)
+                np.cumsum(p, axis=1, out=cdf)
+                chunk[:, step] = _reach(cdf, U[:, step] * cdf[:, -1], out=below)
+                continue
+            np.maximum(mass - (v[:, :, None] * v.conj()[:, None, :]).reshape(len(U), -1)
+                       .view(np.float64) @ G, 0.0, out=mass)
+            for _ in range(len(row_p)):
+                cm = np.cumsum(mass, axis=1)
+                t = U[:, step] * cm[:, -1]
+                b = _reach(cm, t)
+                np.take(full, b, axis=0, out=Qg, mode="clip")
+                Qg[b == len(full)] = tail
+                P = (Qg @ W[:, :step].transpose(0, 2, 1)).view(np.float64)
+                r = row_p[b] - np.einsum("blk,blk->bl", P, P)
+                del P  # freed before the next one is formed: the chunk budget
+                d, k = np.nonzero(chunk[:, :step] // L == b[:, None])  # earlier picks
+                r[d, chunk[d, k] % L] = 0.0
+                c = np.cumsum(np.maximum(r, 0.0, out=r), axis=1)
+                j = _reach(c, t - np.where(b > 0, cm[rows, b - 1], 0.0))
+                if np.all(c[:, -1] > 0.0):
+                    break
+                mass[rows, b] *= c[:, -1] > 0.0
+            chunk[:, step] = b * L + j
     return np.sort(x[picks], axis=1)
 
 

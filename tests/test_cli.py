@@ -144,6 +144,31 @@ class TestExitCodes:
         assert rc == 0
         assert rep["passed"] is True
 
+    def test_opuc_check_at_large_s_is_zero(self, capsys):
+        # the Christoffel-Darboux residuals reach 7e-5 at s=300, at 1e-16
+        # of the sum of |p_k(z)| |p_k(w)|; they are gated relative to it
+        rc, rep = run(capsys, ["check", "opuc", "--s", "300"])
+        assert rc == 0
+        cd = [c for c in rep["checks"] if c["name"].startswith("cd_identity")]
+        assert len(cd) == 3 and max(c["value"] for c in cd) > 1e-10
+
+    def test_opuc_check_catches_a_perturbed_coefficient(self, capsys, monkeypatch):
+        # p_k from a recursion with one Verblunsky coefficient off by 1e-9,
+        # p*_n from the true one: the identity breaks at 1e-9 relative
+        from hpkernels import weights_opuc
+        szego = weights_opuc._szego
+
+        def bent(alpha, z):
+            off = alpha.copy()
+            off[3] += 1e-9
+            return szego(off, z)[0], szego(alpha, z)[1]
+        monkeypatch.setattr(weights_opuc, "_szego", bent)
+        for s in ("0.5", "300"):
+            rc, rep = run(capsys, ["check", "opuc", "--s", s, "--N", "64"])
+            assert rc == 1
+            assert not any(c["pass"] for c in rep["checks"]
+                           if c["name"].startswith("cd_identity"))
+
     def test_sample_beyond_old_degree_cap_is_zero(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
         rc, rep = run(capsys, ["sample", "--s", "0", "--N", "130", "--draws", "2"])

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpkernels.errors import DomainError
+from hpkernels import weights_opuc as wo
 from hpkernels.kernels import (
     FiniteKernel,
     LimitKernel,
@@ -557,6 +558,23 @@ class TestRecurrences:
     def test_finite_more_points(self):
         for x, y in [(0.2, 1.4), (-0.6, -0.3), (1.0, -2.0)]:
             assert check_finite_recurrence(0.3, 4, x, y) < 1e-8
+
+    def test_finite_one_pass_per_basis(self, monkeypatch):
+        # each of the three bases (circle kernel, line kernel, V) is
+        # evaluated once, at both points of its pair
+        passes = []
+        for cls in (wo.OPUCBasis, wo.MonicLineBasis):
+            name = "eval_all" if cls is wo.OPUCBasis else "eval_weighted"
+            real = getattr(cls, name)
+
+            def counted(self, t, real=real, name=name):
+                passes.append((name, id(self), np.size(t)))
+                return real(self, t)
+            monkeypatch.setattr(cls, name, counted)
+        assert check_finite_recurrence(0.3, 6, 0.7, -1.2) < 1e-8
+        assert sorted(p[0] for p in passes) == ["eval_all", "eval_weighted", "eval_weighted"]
+        assert len({p[1] for p in passes}) == 3
+        assert all(p[2] == 2 for p in passes)
 
     def test_rank_one_integrates_to_one(self):
         # the V/||V|| term contributes exactly one unit of trace

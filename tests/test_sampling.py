@@ -262,6 +262,128 @@ class TestBatchedDraws:
         assert peak <= sampling._CHUNK_BYTES + Q.nbytes
 
 
+def _basis(M, N, seed, live=None):
+    """A random complex (M, N) orthonormal basis, exactly zero off the rows
+    marked live."""
+    rng = np.random.default_rng(seed)
+    live = np.ones(M, dtype=bool) if live is None else live
+    Q = np.zeros((M, N), dtype=complex)
+    Z = rng.standard_normal((live.sum(), N)) + 1j * rng.standard_normal((live.sum(), N))
+    Q[live] = np.linalg.qr(Z)[0]
+    return Q
+
+
+class _Forced:
+    """Generator stand-in whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+class TestTwoLevelDraws:
+    """The two-level pick (block masses, then one block's rows) at 2 N^2 < M."""
+
+    def test_block_rule(self):
+        assert sampling._block_len(4096, 45) == 64
+        assert sampling._block_len(4096, 46) == 1  # 2 N^2 >= M: flat
+        assert sampling._block_len(1632, 21) == 64
+        assert sampling._block_len(1000, 5) == 32
+        assert sampling._block_len(16, 2) == 4
+
+    @pytest.mark.parametrize("N", [21, 32])
+    @pytest.mark.parametrize("n_draws", [2, 3, 8])
+    def test_matches_reference_across_chunks(self, circle_grid, damped_basis, monkeypatch,
+                                             N, n_draws):
+        # rank 21 is the damped basis (real, 1632 rows: a ragged last block)
+        x, Q = damped_basis if N == 21 else circle_grid(0.5, N)
+        assert Q.shape[1] == N and sampling._block_len(*Q.shape) == 64
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES",
+                            3 * sampling._draw_bytes(*Q.shape, Q.itemsize))
+        got = sequential_projection_draws(Q, x, _philox(N + n_draws), n_draws)
+        assert np.array_equal(got, reference_draws(Q, x, _philox(N + n_draws), n_draws))
+
+    def test_ragged_last_block(self):
+        # 1000 rows in blocks of 32: the last block holds 8 rows
+        Q = _basis(1000, 5, 4)
+        x = np.arange(1.0, 1001.0)
+        got = sequential_projection_draws(Q, x, _philox(3), 400)
+        assert np.array_equal(got, reference_draws(Q, x, _philox(3), 400))
+        assert np.any(got > 992.0)  # rows of the ragged block are picked
+
+    def test_zero_mass_rows_never_picked(self):
+        # whole blocks of zero rows, and blocks holding one live row each
+        M = 4096
+        live = np.zeros(M, dtype=bool)
+        live[:64 * 20:7] = True
+        live[64 * 40::64] = True
+        Q = _basis(M, 8, 5, live)
+        x = np.arange(1.0, M + 1.0)
+        got = sequential_projection_draws(Q, x, _philox(9), 500)
+        assert np.all(live[got.astype(int) - 1])
+        assert np.array_equal(got, reference_draws(Q, x, _philox(9), 500))
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_extreme_uniforms(self, circle_grid, damped_basis, monkeypatch, u):
+        # u = 0 must not pick a row of zero mass; u -> 1 must not run past
+        # the chosen block's rows when their direct sum falls short of the
+        # target by rounding.  Picks stay distinct and of positive mass.
+        # With one live row a block, a picked row's block keeps a rounding
+        # residue of mass but no positive residual: u = 0 chooses such
+        # blocks, and the pick is redone.
+        one_per_block = np.zeros(4096, dtype=bool)
+        one_per_block[np.arange(64) * 64 + np.arange(64) % 7] = True
+        calls = []
+        reach = sampling._reach
+
+        def counted(c, target, out=None):
+            calls.append(1)
+            return reach(c, target, out)
+        monkeypatch.setattr(sampling, "_reach", counted)
+        extra = 0
+        for seed, (_, Q) in enumerate([circle_grid(0.5, 6), circle_grid(0.0, 12),
+                                       damped_basis]
+                                      + [(None, _basis(4096, 8, k, one_per_block))
+                                         for k in range(8)]):
+            assert sampling._block_len(*Q.shape) > 1
+            calls.clear()
+            idx = sequential_projection_draws(Q, np.arange(1.0, len(Q) + 1.0),
+                                              _Forced(u), 2).astype(int) - 1
+            assert np.all(np.diff(idx, axis=1) > 0), seed
+            assert np.all(np.abs(Q[idx]).max(axis=2) > 0.0), seed
+            extra += len(calls) - 2 * (Q.shape[1] - 1)  # two per step, more if redone
+        if u == 0.0:
+            assert extra > 0
+
+    def test_reach_clips_the_target(self):
+        c = np.cumsum([[0.0, 0.5, 0.0, 0.25, 0.0]], axis=1)
+        pick = lambda t: int(sampling._reach(c, np.array([t]))[0])  # noqa: E731
+        assert pick(0.0) == 1  # the first positive weight, not row 0
+        assert pick(0.5) == 1
+        assert pick(0.5 + 2.0**-40) == 3
+        assert pick(0.75) == 3
+        assert pick(0.75 * (1.0 + 2.0**-52)) == 3  # past the total by rounding
+
+    def test_memory_bounded_by_chunk_budget(self):
+        # rank 45 on 4096 rows, the largest two-level rank there; the 200
+        # draws fill four chunks, and the block Grams come on top of them
+        Q = _basis(4096, 45, 6)
+        x = np.linspace(-1.0, 1.0, 4096)
+        assert sampling._block_len(*Q.shape) == 64
+        assert 3 * (sampling._CHUNK_BYTES // sampling._draw_bytes(4096, 45, 16)) < 200
+        tracemalloc.start()
+        try:
+            out = sequential_projection_draws(Q, x, _philox(2), 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200, 45)
+        assert np.all(np.diff(out, axis=1) > 0)
+        assert peak <= sampling._CHUNK_BYTES + Q.nbytes
+
+
 class TestMCMC:
     def test_n1_s0_cauchy(self):
         cfg = SamplerConfig(seed=7, burn_in=1000, thinning=10, n_chains=64)
