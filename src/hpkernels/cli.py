@@ -46,8 +46,8 @@ from .weights_opuc import (
 from .kernels import (
     LimitKernel,
     VFunction,
+    _finite_recurrence_residuals,
     build_finite_kernel,
-    check_finite_recurrence,
     check_limit_recurrence,
     check_projection,
     eval_V,
@@ -433,9 +433,9 @@ def _suite_kernels(p: dict) -> list[dict]:
     rec = max(check_limit_recurrence(s, x, y)
               for x in (0.2, 1.0, 2.4) for y in (0.5, 1.7, 3.0))
     checks.append(_chk("limit_recurrence_grid", rec, 1e-10))
-    for x, y in ((0.7, 1.3), (-1.1, 0.4)):
-        checks.append(_chk(f"finite_recurrence_{x}_{y}",
-                           check_finite_recurrence(s, N, x, y), 1e-8))
+    pairs = ((0.7, 1.3), (-1.1, 0.4))
+    for (x, y), res in zip(pairs, _finite_recurrence_residuals(s, N, pairs)):
+        checks.append(_chk(f"finite_recurrence_{x}_{y}", res, 1e-8))
     k = LimitKernel(HPParam(s))
     for x, y in ((0.7, 1.3), (-0.9, 0.5), (1.8, 2.6)):
         res, bnd = check_projection(k, x, y, 100.0)

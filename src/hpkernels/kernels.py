@@ -472,11 +472,10 @@ def check_limit_recurrence(s: float, x: float, y: float) -> float:
     return abs(lhs - rhs)
 
 
-def _kernel_at(k: FiniteKernel, x: float, y: float) -> float:
-    """K(x, y) from one feature evaluation at both points, the product
-    formed as kernel_matrix forms it."""
-    F = k.feature_matrix([x, y])
-    return float((F[:1] @ F[1:].conj().T).real[0, 0])
+def _kernel_at(F: np.ndarray, i: int) -> float:
+    """K(x, y) from the feature rows F[i] (at x) and F[i + 1] (at y), the
+    product formed as kernel_matrix forms it."""
+    return float((F[i:i + 1] @ F[i + 1:i + 2].conj().T).real[0, 0])
 
 
 def check_finite_recurrence(s: float, N: int, x: float, y: float) -> float:
@@ -487,25 +486,39 @@ def check_finite_recurrence(s: float, N: int, x: float, y: float) -> float:
     The two kernels are built on different routes (circle transport vs
     direct line construction) so the identity doubles as a cross check.
     """
+    return _finite_recurrence_residuals(s, N, [(x, y)])[0]
+
+
+def _finite_recurrence_residuals(s: float, N: int, pairs) -> list[float]:
+    """check_finite_recurrence at each (x, y) of pairs, each of the three
+    bases evaluated once at all the points."""
     if N < 2:
         raise DomainError("N >= 2 required")
-    if x == 0.0 or y == 0.0:
+    pts = np.array(pairs, dtype=float).ravel()  # x0, y0, x1, y1, ...
+    if np.any(pts == 0.0):
         raise DomainError("defined on R*")
     kN = build_finite_kernel(HPParam(s), N, "circle_cayley")
     kM = build_finite_kernel(HPParam(s + 1.0), N - 1, "line_direct")
-    sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
-    lhs = sx**N * sy**N * _kernel_at(kN, x, y)
-    u, w = N * x / (N - 1.0), N * y / (N - 1.0)
-    pi_small = (
-        math.copysign(1.0, u) ** (N - 1)
-        * math.copysign(1.0, w) ** (N - 1)
-        * _kernel_at(kM, u, w)
-    )
     v = VFunction(HPParam(s), "prelimit", N)
-    Vx, Vy = eval_V(v, [x, y])
-    rank1 = float(Vx * Vy) / v_norm_sq_closed(v)
-    rhs = sx * sy * (N / (N - 1.0)) * pi_small + rank1
-    return abs(lhs - rhs)
+    uw = N * pts / (N - 1.0)
+    FN = kN.feature_matrix(pts)
+    FM = kM.feature_matrix(uw)
+    V = eval_V(v, pts)
+    norm = v_norm_sq_closed(v)
+    out = []
+    for i in range(0, pts.size, 2):
+        x, y = pts[i], pts[i + 1]
+        sx, sy = math.copysign(1.0, x), math.copysign(1.0, y)
+        lhs = sx**N * sy**N * _kernel_at(FN, i)
+        pi_small = (
+            math.copysign(1.0, uw[i]) ** (N - 1)
+            * math.copysign(1.0, uw[i + 1]) ** (N - 1)
+            * _kernel_at(FM, i)
+        )
+        rank1 = float(V[i] * V[i + 1]) / norm
+        rhs = sx * sy * (N / (N - 1.0)) * pi_small + rank1
+        out.append(abs(lhs - rhs))
+    return out
 
 
 def convergence_profile(s: float, N_list, grid) -> list[tuple[int, float]]:

@@ -83,20 +83,33 @@ def _dpp_grid(k: FiniteKernel, M: int):
     Returns (x positions, A) where A is (M, N) with A^H A = I exactly after
     the thin-QR polish; the pre-polish mass deficit measures discretization.
     """
-    if k.route != "circle_cayley":
-        raise DomainError("grid sampler needs the circle route")
     N = k.N
     delta = 2.0 * np.pi / M
     theta = -np.pi + (np.arange(M) + 0.5) * delta  # never hits 0 or +-pi
     lam = eval_circle_weight(k.param, theta)
-    P = k.opuc.eval_all(np.exp(1j * theta))[:, :N]
-    A = P * np.sqrt(lam * delta / (2.0 * np.pi))[:, None]
+    A = k.opuc.eval_all(np.exp(1j * theta))[:, :N]
+    A *= np.sqrt(lam * delta / (2.0 * np.pi))[:, None]
     x = np.tan(theta / 2.0) / N
     deficit = N - float(np.sum(np.abs(A) ** 2))
     return x, A, deficit
 
 
+# the last polished grid, (key, x, Q) with x and Q read-only, or None
+_grid_slot = None
+
+
 def _prepare_grid(k: FiniteKernel, cfg: SamplerConfig):
+    """(x, Q) of the polished grid, served from _grid_slot when it holds
+    this grid; else built, then kept there in place of the old one."""
+    global _grid_slot
+    if k.route != "circle_cayley":
+        raise DomainError("grid sampler needs the circle route")
+    # the basis enters by its coefficients: a kernel may carry any OPUCBasis
+    key = (k.param, k.N, cfg.grid_points, k.opuc.alpha[:k.N - 1].tobytes())
+    held = _grid_slot
+    if held is not None and held[0] == key:
+        return held[1:]
+    held = _grid_slot = None  # the old Q is freed before the new grid's temporaries
     M = cfg.grid_points
     for _ in range(5):
         x, A, deficit = _dpp_grid(k, M)
@@ -109,8 +122,10 @@ def _prepare_grid(k: FiniteKernel, cfg: SamplerConfig):
             "raise grid_points"
         )
     # polish to an exact discrete projection so cardinality is exact
-    Q, _ = np.linalg.qr(A)
-    return x, np.ascontiguousarray(Q)
+    Q = np.ascontiguousarray(np.linalg.qr(A)[0])
+    x.flags.writeable = Q.flags.writeable = False
+    _grid_slot = (key, x, Q)
+    return x, Q
 
 
 # bytes the per-chunk arrays of sequential_projection_draws may take
@@ -181,22 +196,26 @@ def sequential_projection_draws(
         full, tail = Q[:M - M % L].reshape(-1, L, N), np.zeros((L, N), Q.dtype)
         tail[:M % L] = Q[M - M % L:]
     B = max(1, _CHUNK_BYTES // _draw_bytes(M, N, Q.itemsize))
+    # buffers that every step writes into, allocated once at the first chunk's
+    # size and sliced for each chunk: a fresh (chunk, M) temporary per step
+    # costs page faults once the allocator maps it, and a chunk's own set
+    # formed while the previous chunk's is bound would overrun the budget
+    n0 = min(B, n_draws)
+    bufs = [np.empty((n0, N - 1, N), dtype=Q.dtype)]
+    if L == 1:
+        bufs += [np.empty((n0, M), dtype=t) for t in (float, Q.dtype, float, float, bool)]
+    else:
+        bufs += [np.empty((n0, len(row_p))), np.empty((n0, L, N), dtype=Q.dtype)]
     for start in range(0, n_draws, B):
         U = u[start:start + B]
         chunk = picks[start:start + B]
         rows = np.arange(len(U))
-        W = np.empty((len(U), N - 1, N), dtype=Q.dtype)
-        # per-chunk buffers that every step writes into: a fresh (chunk, M)
-        # temporary per step costs page faults once the allocator maps it
         if L == 1:
-            p = np.tile(row_p, (len(U), 1))
-            prod = np.empty((len(U), M), dtype=Q.dtype)
-            sq = np.empty((len(U), M))
-            cdf = np.empty((len(U), M))
-            below = np.empty((len(U), M), dtype=bool)
+            W, p, prod, sq, cdf, below = (a[:len(U)] for a in bufs)
+            p[:] = row_p
         else:
-            mass = np.tile(row_p.sum(axis=1), (len(U), 1))
-            Qg = np.empty((len(U), L, N), dtype=Q.dtype)
+            W, mass, Qg = (a[:len(U)] for a in bufs)
+            mass[:] = row_p.sum(axis=1)
         for step in range(1, N):
             i = chunk[:, step - 1]
             v = Q[i].conj()
@@ -240,7 +259,12 @@ def sequential_projection_draws(
 def sample_projection_dpp_batch(
     k: FiniteKernel, cfg: SamplerConfig, n_draws: int
 ) -> np.ndarray:
-    """n_draws independent configurations as a (n_draws, N) sorted array."""
+    """n_draws independent configurations as a (n_draws, N) sorted array.
+
+    The polished grid of the last call is kept, read-only, and serves a
+    following call at the same (k.param, k.N, cfg.grid_points) and basis;
+    another grid replaces it, so one grid is held at a time.
+    """
     x, Q = _prepare_grid(k, cfg)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return sequential_projection_draws(Q, x, rng, n_draws)
@@ -248,14 +272,6 @@ def sample_projection_dpp_batch(
 
 # ---------------------------------------------------------------------------
 # Random-walk Metropolis on the unscaled ensemble
-
-
-def _coord_terms(x: np.ndarray, col: np.ndarray, j: int, s: float, N: int) -> np.ndarray:
-    """Log-density terms involving coordinate j only, with x[:, j] = col."""
-    with np.errstate(divide="ignore"):
-        lo = np.log(np.abs(x - col[:, None]))
-    lo[:, j] = 0.0
-    return 2.0 * np.sum(lo, axis=1) - (s + N) * np.log1p(col * col)
 
 
 def mcmc_draws(param: HPParam, N: int, cfg: SamplerConfig, n_draws: int,
@@ -271,6 +287,10 @@ def mcmc_draws(param: HPParam, N: int, cfg: SamplerConfig, n_draws: int,
     NonConvergenceWarning if the frozen acceptance rate leaves
     [0.1, 0.6].  A caller-supplied stats dict receives the running
     acceptance_rate and step_scale.
+
+    A move's log acceptance ratio takes the proposal and the current value
+    as the two rows of one array, so log|x_i - x_j| is evaluated once for
+    both.
     """
     s = param.s
     if s <= -0.5:
@@ -285,44 +305,50 @@ def mcmc_draws(param: HPParam, N: int, cfg: SamplerConfig, n_draws: int,
     warned = False
     out = np.empty((n_draws, N))
     filled = 0
-    while filled < n_draws:
-        for j in range(N):
-            cur = x[:, j]
-            prop = cur + scale * rng.standard_cauchy(C)
-            delta = _coord_terms(x, prop, j, s, N) - _coord_terms(x, cur, j, s, N)
-            acc = np.log(rng.random(C)) < delta
-            x[acc, j] = prop[acc]
-            accepted += int(np.sum(acc))
-            proposed += C
-        sweep += 1
-        if sweep <= cfg.burn_in:
-            if sweep % 50 == 0:
+    col = np.empty((2, C))  # row 0 the proposal, row 1 the current value
+    lo = np.empty((2, C, N))
+    with np.errstate(divide="ignore"):  # log 0 at coinciding points is -inf
+        while filled < n_draws:
+            for j in range(N):
+                np.add(x[:, j], scale * rng.standard_cauchy(C), out=col[0])
+                col[1] = x[:, j]
+                # the log-density terms that involve coordinate j, at both rows
+                np.log(np.abs(np.subtract(x, col[:, :, None], out=lo), out=lo), out=lo)
+                lo[:, :, j] = 0.0
+                terms = 2.0 * np.add.reduce(lo, axis=2) - (s + N) * np.log1p(col * col)
+                acc = np.log(rng.random(C)) < terms[0] - terms[1]
+                np.copyto(x[:, j], col[0], where=acc)
+                accepted += np.count_nonzero(acc)
+                proposed += C
+            sweep += 1
+            if sweep <= cfg.burn_in:
+                if sweep % 50 == 0:
+                    rate = accepted / proposed
+                    scale = float(np.clip(scale * math.exp(rate - 0.3), 1e-3, 50.0))
+                    accepted = proposed = 0
+                    if stats is not None:
+                        stats["acceptance_rate"] = rate
+                        stats["step_scale"] = scale
+                continue
+            if not warned and sweep == cfg.burn_in + 500:
                 rate = accepted / proposed
-                scale = float(np.clip(scale * math.exp(rate - 0.3), 1e-3, 50.0))
-                accepted = proposed = 0
+                if not 0.1 <= rate <= 0.6:
+                    warnings.warn(
+                        f"acceptance rate {rate:.3f} outside [0.1, 0.6]",
+                        NonConvergenceWarning,
+                    )
+                warned = True
                 if stats is not None:
                     stats["acceptance_rate"] = rate
                     stats["step_scale"] = scale
-            continue
-        if not warned and sweep == cfg.burn_in + 500:
-            rate = accepted / proposed
-            if not 0.1 <= rate <= 0.6:
-                warnings.warn(
-                    f"acceptance rate {rate:.3f} outside [0.1, 0.6]",
-                    NonConvergenceWarning,
-                )
-            warned = True
-            if stats is not None:
-                stats["acceptance_rate"] = rate
-                stats["step_scale"] = scale
-        if (sweep - cfg.burn_in) % cfg.thinning == 0:
-            take = min(C, n_draws - filled)
-            pts = x[:take] / N
-            pts[np.any(pts == 0.0, axis=1)] += 1e-300  # measure-zero; off the origin
-            if not np.all(np.isfinite(pts)):
-                raise DomainError("non-finite point")
-            out[filled:filled + take] = np.sort(pts, axis=1)
-            filled += take
+            if (sweep - cfg.burn_in) % cfg.thinning == 0:
+                take = min(C, n_draws - filled)
+                pts = x[:take] / N
+                pts[np.any(pts == 0.0, axis=1)] += 1e-300  # measure-zero; off the origin
+                if not np.all(np.isfinite(pts)):
+                    raise DomainError("non-finite point")
+                out[filled:filled + take] = np.sort(pts, axis=1)
+                filled += take
     return out
 
 

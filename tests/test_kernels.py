@@ -25,6 +25,7 @@ from hpkernels.kernels import (
     build_finite_kernel,
     check_finite_recurrence,
     check_limit_recurrence,
+    _finite_recurrence_residuals,
     _inner_table,
     _limit_FG,
     _pm_products,
@@ -538,6 +539,21 @@ class TestProjection:
             check_projection(k, 1.0, 2.0, 3.0)
 
 
+def _count_basis_passes(monkeypatch) -> list:
+    """(method, basis id, points) of every OPUCBasis.eval_all and
+    MonicLineBasis.eval_weighted call from here on."""
+    passes = []
+    for cls in (wo.OPUCBasis, wo.MonicLineBasis):
+        name = "eval_all" if cls is wo.OPUCBasis else "eval_weighted"
+        real = getattr(cls, name)
+
+        def counted(self, t, real=real, name=name):
+            passes.append((name, id(self), np.size(t)))
+            return real(self, t)
+        monkeypatch.setattr(cls, name, counted)
+    return passes
+
+
 class TestRecurrences:
     def test_limit_grid(self):
         for s in (0.0, 0.25, 0.8):
@@ -562,19 +578,21 @@ class TestRecurrences:
     def test_finite_one_pass_per_basis(self, monkeypatch):
         # each of the three bases (circle kernel, line kernel, V) is
         # evaluated once, at both points of its pair
-        passes = []
-        for cls in (wo.OPUCBasis, wo.MonicLineBasis):
-            name = "eval_all" if cls is wo.OPUCBasis else "eval_weighted"
-            real = getattr(cls, name)
-
-            def counted(self, t, real=real, name=name):
-                passes.append((name, id(self), np.size(t)))
-                return real(self, t)
-            monkeypatch.setattr(cls, name, counted)
+        passes = _count_basis_passes(monkeypatch)
         assert check_finite_recurrence(0.3, 6, 0.7, -1.2) < 1e-8
         assert sorted(p[0] for p in passes) == ["eval_all", "eval_weighted", "eval_weighted"]
         assert len({p[1] for p in passes}) == 3
         assert all(p[2] == 2 for p in passes)
+
+    def test_finite_pairs_one_pass_per_basis(self, monkeypatch):
+        # several pairs share one pass per basis over all their points, and
+        # each residual equals the one-pair check's bit for bit
+        pairs = [(0.7, -1.2), (1.1, 0.4), (-2.5, -0.3)]
+        single = [check_finite_recurrence(0.3, 6, x, y) for x, y in pairs]
+        passes = _count_basis_passes(monkeypatch)
+        assert _finite_recurrence_residuals(0.3, 6, pairs) == single
+        assert len(passes) == 3 and len({p[1] for p in passes}) == 3
+        assert all(p[2] == 6 for p in passes)
 
     def test_rank_one_integrates_to_one(self):
         # the V/||V|| term contributes exactly one unit of trace

@@ -5,6 +5,10 @@ Seeds are frozen after a validation pass; KS gates are at the 0.01 level
 with the sample sizes chosen so that passing margins are wide.
 """
 
+import contextlib
+import dataclasses
+import hashlib
+import io
 import math
 import os
 import tracemalloc
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hpkernels import sampling
+from hpkernels.cli import main
 from hpkernels.errors import DomainError, GridTooCoarse, NonConvergenceWarning
 from hpkernels.infmeasures import damped_projection, make_damped_grid
 from hpkernels.kernels import build_finite_kernel
@@ -31,7 +36,7 @@ from hpkernels.sampling import (
     sequential_projection_draws,
     write_sample_archive,
 )
-from hpkernels.weights_opuc import HPParam
+from hpkernels.weights_opuc import HPParam, build_opuc
 
 KS01 = 1.6276  # asymptotic KS critical coefficient at the 0.01 level
 
@@ -249,17 +254,33 @@ class TestBatchedDraws:
         rng = np.random.default_rng(3)
         Z = rng.standard_normal((4096, 256)) + 1j * rng.standard_normal((4096, 256))
         Q = np.ascontiguousarray(np.linalg.qr(Z)[0])
-        x = np.linspace(-1.0, 1.0, 4096)
         del Z
-        tracemalloc.start()
-        try:
-            out = sequential_projection_draws(Q, x, _philox(1), 24)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (24, 256)
-        assert np.all(np.diff(out, axis=1) > 0)
-        assert peak <= sampling._CHUNK_BYTES + Q.nbytes
+        assert _draw_peak(Q, 1, 24) <= sampling._CHUNK_BYTES + Q.nbytes
+
+    @pytest.mark.parametrize("N", [46, 64])
+    def test_flat_pick_memory_bounded_by_chunk_budget(self, N):
+        # flat-pick ranks with small N x N vectors: the (chunk, M) buffers
+        # dominate, and three chunks plus one draw make every later chunk,
+        # the short last one too, take the place of the one before it
+        Q = _basis(4096, N, N)
+        assert sampling._block_len(*Q.shape) == 1
+        B = sampling._CHUNK_BYTES // sampling._draw_bytes(4096, N, Q.itemsize)
+        assert _draw_peak(Q, 1, 3 * B + 1) <= sampling._CHUNK_BYTES + Q.nbytes
+
+
+def _draw_peak(Q, seed, n_draws):
+    """tracemalloc peak of sequential_projection_draws on Q over a uniform
+    x, whose draws are checked for shape and distinct points."""
+    x = np.linspace(-1.0, 1.0, len(Q))
+    tracemalloc.start()
+    try:
+        out = sequential_projection_draws(Q, x, _philox(seed), n_draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n_draws, Q.shape[1])
+    assert np.all(np.diff(out, axis=1) > 0)
+    return peak
 
 
 def _basis(M, N, seed, live=None):
@@ -370,18 +391,80 @@ class TestTwoLevelDraws:
         # rank 45 on 4096 rows, the largest two-level rank there; the 200
         # draws fill four chunks, and the block Grams come on top of them
         Q = _basis(4096, 45, 6)
-        x = np.linspace(-1.0, 1.0, 4096)
         assert sampling._block_len(*Q.shape) == 64
         assert 3 * (sampling._CHUNK_BYTES // sampling._draw_bytes(4096, 45, 16)) < 200
-        tracemalloc.start()
-        try:
-            out = sequential_projection_draws(Q, x, _philox(2), 200)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (200, 45)
-        assert np.all(np.diff(out, axis=1) > 0)
-        assert peak <= sampling._CHUNK_BYTES + Q.nbytes
+        assert _draw_peak(Q, 2, 200) <= sampling._CHUNK_BYTES + Q.nbytes
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestFrozenBits:
+    """Frozen sha256 digests of draws: a grid served from the slot and the
+    fused Metropolis log-ratio give the draws of a fresh grid and of one
+    log-density pass per value, bit for bit."""
+
+    @pytest.mark.parametrize("s, N, chains, seed, digest", [
+        (0.5, 4, 64, 3, "72b0de2966a6ffd8b6cc18e634e2093e4fb4d92ac082291d8a427e09b013bd0f"),
+        (0.0, 3, 32, 9, "b6b8d7295857c5aaba0e69ba0d15881bbb8518d10aeb59a950081199d92d081a"),
+        (1.3, 7, 16, 5, "bbc4035b2f5ed097d725729ae1ccb8794a3539bda743d71fc787d918beb08c5d"),
+        (-0.3, 2, 64, 11, "2f9a1ed7e08c4a155c61493d3892b1890c58dd8e80cb284224ad68c5c6200348"),
+    ])
+    def test_mcmc_draws(self, s, N, chains, seed, digest):
+        cfg = SamplerConfig(seed=seed, burn_in=100, thinning=3, n_chains=chains)
+        assert _sha(mcmc_draws(HPParam(s), N, cfg, 4 * chains)) == digest
+
+    def test_dpp_batches_revisiting_a_grid(self, monkeypatch):
+        builds = []
+        real = sampling._dpp_grid
+
+        def counted(k, M):
+            assert sampling._grid_slot is None  # the old grid freed first
+            builds.append((k.param.s, k.N, M))
+            return real(k, M)
+        monkeypatch.setattr(sampling, "_dpp_grid", counted)
+        monkeypatch.setattr(sampling, "_grid_slot", None)
+        digests = []
+        for s, N, n_draws in ((0.5, 6, 40), (0.0, 64, 1), (0.5, 6, 40)):
+            k = build_finite_kernel(HPParam(s), N)
+            cfg = SamplerConfig(seed=N + 1)
+            digests.append(_sha(sample_projection_dpp_batch(k, cfg, n_draws)))
+            key, x, Q = sampling._grid_slot  # one grid held: the last one
+            assert key[:3] == (HPParam(s), N, cfg.grid_points)
+            assert not x.flags.writeable and not Q.flags.writeable
+            with pytest.raises(ValueError):
+                Q[0, 0] = 0.0
+            x2, Q2 = sampling._prepare_grid(k, cfg)
+            assert x2 is x and Q2 is Q
+        assert builds == [(0.5, 6, 4096), (0.0, 64, 4096), (0.5, 6, 4096)]
+        assert digests == [
+            "0517e472d0b5e7fa6e9e6602257c8e9ce81f48e4451794247e185afa33ca75bd",
+            "19ce77b84058273babd39d79bcac8ab880e3eb53b81995860f16ff5688662298",
+            "0517e472d0b5e7fa6e9e6602257c8e9ce81f48e4451794247e185afa33ca75bd",
+        ]
+
+    def test_slot_keyed_by_the_basis(self):
+        # a kernel carrying another basis at the same (s, N) is not served
+        # the kept grid: its rows miss the weight's mass
+        k = build_finite_kernel(HPParam(0.5), 6)
+        sampling._prepare_grid(k, SamplerConfig())
+        other = dataclasses.replace(k, opuc=build_opuc(HPParam(1.0), 6))
+        with pytest.raises(GridTooCoarse):
+            sampling._prepare_grid(other, SamplerConfig())
+
+    def test_cli_sample_and_replay(self, tmp_path, monkeypatch):
+        # in one process the replay is served the kept grid
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sample", "--s", "0.5", "--N", "6", "--draws", "40",
+                         "--seed", "7", "--out", "a.csv"]) == 0
+            assert main(["sample", "--replay", str(tmp_path / "a.csv.json"),
+                         "--out", "b.csv"]) == 0
+        a = (tmp_path / "a.csv").read_bytes()
+        assert a == (tmp_path / "b.csv").read_bytes()
+        assert hashlib.sha256(a).hexdigest() == (
+            "fe83d9c0aa14154465452e34cfb721223251205b5af392a76d476de8927f0738")
 
 
 class TestMCMC:
