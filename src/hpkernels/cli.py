@@ -282,8 +282,10 @@ def _require(cond: bool, msg: str) -> None:
         raise SpecError(msg)
 
 
-# the circle weight (2 + 2 cos theta)^s peaks at 4^s, which overflows a
-# double from s = 512 on
+# the range of s the finite-ensemble commands take, set by the bases'
+# precision (the circle weight is formed without overflow at any s): their
+# recurrence coefficients tend to 1 as s grows and the two kernel routes
+# drift apart, from 1e-13 relative at s = 600 to 2.5e-11 at s = 5000 (N = 16)
 _S_MAX = 512.0
 
 # experiment variance runs windows up to 2 eps at N = 12, whose quadrature

@@ -6,7 +6,10 @@ independent routes:
 
 - circle_cayley (default): orthonormal circle polynomials transported
   through x = tan(theta/2)/N, with the phase gauge gamma(t) =
-  (N-1) * arg(i+t) pulled out so the kernel is real;
+  (N-1) * arg(i+t) pulled out so the kernel is real.  No angle theta is
+  formed: t = N x enters as the signed angle from the weight's singular
+  point, phi = -sgn(t) 2 arctan(1/|t|), which keeps its relative precision
+  however large |x| is;
 - line_direct: monic line polynomials against (1+x^2)^(-s-N) directly.
 
 Both produce the orthogonal projection onto the same N-dimensional
@@ -16,7 +19,8 @@ dual-construction check.
 The n-fold rescaled circle kernel phi_n lives on the circle weight rotated
 by pi.  Rotation by pi multiplies Verblunsky coefficients by (-1)^{k+1}
 (Simon, OPUC, 2005), so the rotated basis is (-1)^k p_k(-z) and phi_n is
-read off the circle route's own basis at the rotated angles.
+read off the circle route's own basis at the rotated angles: the angle a/n
+of the weight singular at 0 is itself the angle from the singular point.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .weights_opuc import (
     OPUCBasis,
     build_monic_line,
     build_opuc,
-    eval_circle_weight,
     top_log_gammas,
 )
 
@@ -87,14 +90,13 @@ class FiniteKernel:
         t = N * xx
         if self.route == "line_direct":
             return self.monic.eval_weighted(t)[:, :N] * math.sqrt(N)
-        theta = 2.0 * np.arctan(t)
-        lam = eval_circle_weight(self.param, theta)
-        z = np.exp(1j * theta)
-        P = self.opuc.eval_all(z)[:, :N]
+        # z = (1 + i t)/(1 - i t) = -e^{i phi}
+        phi = -np.copysign(2.0 * np.arctan(1.0 / np.abs(t)), t)
+        P = self.opuc.eval_weighted(phi)[:, :N]
         # gauge e^{i gamma}, gamma = (N-1) arg(i+t), makes the kernel real
         gauge = np.exp(1j * (N - 1) * (0.5 * np.pi - np.arctan(t)))
-        radial = np.sqrt(lam * 2.0 * N / (2.0 * np.pi * (1.0 + t * t)))
-        return P * (gauge * radial)[:, None]
+        P *= (gauge * (math.sqrt(N / math.pi) / np.hypot(1.0, t)))[:, None]
+        return P
 
     def kernel_matrix(self, x, y) -> np.ndarray:
         """K on the grid x (rows) by y (columns); real part returned, the
@@ -113,9 +115,9 @@ class FiniteKernel:
         """Circle-side density lambda(theta) sum |p_k|^2 w.r.t. d theta/2pi."""
         if self.route != "circle_cayley":
             raise DomainError("circle-side density needs the circle route")
-        lam = eval_circle_weight(self.param, theta)
-        P = self.opuc.eval_all(np.exp(1j * np.atleast_1d(theta)))[:, : self.N]
-        return lam * np.sum(np.abs(P) ** 2, axis=1)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        P = self.opuc.eval_weighted(theta - np.copysign(np.pi, theta))[:, : self.N]
+        return np.sum(np.abs(P) ** 2, axis=1)
 
 
 def build_finite_kernel(param: HPParam, N: int, route: str = "circle_cayley") -> FiniteKernel:
@@ -149,11 +151,9 @@ def phi_n_matrix(k: FiniteKernel, alphas, betas) -> np.ndarray:
         a = np.atleast_1d(np.asarray(a, dtype=float))
         if np.any(np.abs(a) >= n * np.pi):
             raise DomainError(f"angles must lie in (-{n}pi, {n}pi)")
-        theta = a / n - np.copysign(np.pi, a)
-        lam = eval_circle_weight(k.param, theta)
-        P = k.opuc.eval_all(np.exp(1j * theta))
-        phase = np.exp(-1j * (n - 1) * a / (2.0 * n))
-        return P * (np.sqrt(lam / (2.0 * np.pi)) * phase)[:, None]
+        P = k.opuc.eval_weighted(a / n)
+        P *= (np.exp(-1j * (n - 1) * a / (2.0 * n)) / math.sqrt(2.0 * np.pi))[:, None]
+        return P
 
     return rows(alphas) @ rows(betas).conj().T / n
 

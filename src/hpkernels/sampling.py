@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooCoarse, NonConvergenceWarning, SingularCayley
 from .kernels import FiniteKernel
-from .weights_opuc import HPParam, eval_circle_weight
+from .weights_opuc import HPParam
 
 __all__ = [
     "Configuration",
@@ -55,7 +55,6 @@ class Configuration:
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int = 0
-    grid_points: int = 4096
     method: str = "spectral_dpp"
     step_scale: float = 0.5
     burn_in: int = 2000
@@ -65,8 +64,6 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise DomainError("seed must fit in 64 bits")
-        if self.grid_points < 16 or self.grid_points % 2:
-            raise DomainError("grid_points must be even and >= 16")
         if self.method not in ("spectral_dpp", "mcmc"):
             raise DomainError(f"unknown method {self.method!r}")
         if min(self.step_scale, self.burn_in, self.thinning, self.n_chains) <= 0:
@@ -75,6 +72,9 @@ class SamplerConfig:
 
 # ---------------------------------------------------------------------------
 # Grid-based exact DPP sampler
+
+# angle midpoints of the first grid; a grid missing mass is doubled, 4 times at most
+GRID_POINTS = 4096
 
 
 def _dpp_grid(k: FiniteKernel, M: int):
@@ -86,9 +86,8 @@ def _dpp_grid(k: FiniteKernel, M: int):
     N = k.N
     delta = 2.0 * np.pi / M
     theta = -np.pi + (np.arange(M) + 0.5) * delta  # never hits 0 or +-pi
-    lam = eval_circle_weight(k.param, theta)
-    A = k.opuc.eval_all(np.exp(1j * theta))[:, :N]
-    A *= np.sqrt(lam * delta / (2.0 * np.pi))[:, None]
+    A = k.opuc.eval_weighted(theta - np.copysign(np.pi, theta))[:, :N]
+    A *= math.sqrt(delta / (2.0 * np.pi))
     x = np.tan(theta / 2.0) / N
     deficit = N - float(np.sum(np.abs(A) ** 2))
     return x, A, deficit
@@ -98,29 +97,25 @@ def _dpp_grid(k: FiniteKernel, M: int):
 _grid_slot = None
 
 
-def _prepare_grid(k: FiniteKernel, cfg: SamplerConfig):
+def _prepare_grid(k: FiniteKernel):
     """(x, Q) of the polished grid, served from _grid_slot when it holds
     this grid; else built, then kept there in place of the old one."""
     global _grid_slot
     if k.route != "circle_cayley":
         raise DomainError("grid sampler needs the circle route")
-    # the basis enters by its coefficients: a kernel may carry any OPUCBasis
-    key = (k.param, k.N, cfg.grid_points, k.opuc.alpha[:k.N - 1].tobytes())
+    # the grid depends on N and the basis alone (its weight and coefficients):
+    # a kernel may carry any OPUCBasis
+    key = (k.opuc.param, k.N, k.opuc.alpha[:k.N - 1].tobytes())
     held = _grid_slot
     if held is not None and held[0] == key:
         return held[1:]
     held = _grid_slot = None  # the old Q is freed before the new grid's temporaries
-    M = cfg.grid_points
-    for _ in range(5):
+    for M in (GRID_POINTS << j for j in range(5)):
         x, A, deficit = _dpp_grid(k, M)
         if abs(deficit) < 1e-4:
             break
-        M *= 2
     if abs(deficit) >= 0.01:
-        raise GridTooCoarse(
-            f"grid mass deficit {deficit:.3e} at {M} nodes; "
-            "raise grid_points"
-        )
+        raise GridTooCoarse(f"grid mass deficit {deficit:.3e} at {M} nodes")
     # polish to an exact discrete projection so cardinality is exact
     Q = np.ascontiguousarray(np.linalg.qr(A)[0])
     x.flags.writeable = Q.flags.writeable = False
@@ -262,10 +257,10 @@ def sample_projection_dpp_batch(
     """n_draws independent configurations as a (n_draws, N) sorted array.
 
     The polished grid of the last call is kept, read-only, and serves a
-    following call at the same (k.param, k.N, cfg.grid_points) and basis;
-    another grid replaces it, so one grid is held at a time.
+    following call at the same k.N and basis; another grid replaces it, so
+    one grid is held at a time.
     """
-    x, Q = _prepare_grid(k, cfg)
+    x, Q = _prepare_grid(k)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     return sequential_projection_draws(Q, x, rng, n_draws)
 

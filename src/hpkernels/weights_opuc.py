@@ -1,8 +1,12 @@
 """Weights on the line and circle, and orthonormal bases for both.
 
 Line weight (1+x^2)^{-s-N}; one circle weight c_s (2+2cos theta)^s, singular
-at +-pi and normalized against d theta/2pi.  Both bases are stored as
-recurrence coefficients and evaluated by recurrence in double precision:
+at z = -1 and normalized against d theta/2pi.  Both bases are stored as
+recurrence coefficients and evaluated by recurrence in double precision,
+and each has one weighted evaluation, the orthonormal functions
+sqrt(weight) p_k: the line basis at t, the circle basis at the signed angle
+phi from the singular point, z = -e^{i phi}, so a point next to it keeps
+its relative precision:
 
 - circle: the closed-form Verblunsky coefficients of the circular Jacobi
   weight, alpha_k = (-1)^k s/(k+s+1), run through the Szego recursion
@@ -26,9 +30,7 @@ __all__ = [
     "OPUCBasis",
     "MonicLineBasis",
     "eval_line_weight",
-    "eval_circle_weight",
     "build_opuc",
-    "cd_sum_circle",
     "cd_identity_residual",
     "build_monic_line",
     "trig_moment",
@@ -67,29 +69,6 @@ def eval_line_weight(param: HPParam, N: int, x) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def eval_circle_weight(param: HPParam, theta):
-    """Probability-normalized weight lambda(theta) = c_s (2 + 2cos theta)^s
-    against d theta/2pi, at angles theta in [-pi, pi].
-
-    Raises DomainError at the singular angle +-pi when s < 0 (the weight
-    blows up there, integrably).
-    """
-    s = param.s
-    tt = np.asarray(theta, dtype=float)
-    if np.any(np.abs(tt) > np.pi):
-        raise DomainError("theta must lie in [-pi, pi]")
-    # 2 + 2cos(theta) in the cancellation-free half-angle form
-    base = 4.0 * np.cos(tt / 2.0) ** 2
-    at_sing = np.abs(tt) == np.pi
-    if s < 0 and (np.any(at_sing) or np.any(base == 0.0)):
-        raise DomainError(f"weight singular at this angle for s={s}")
-    base = np.where(at_sing, 0.0, base)  # pin the exact singular angle
-    # c_s = Gamma(s+1)^2 / Gamma(2s+1) in logs: the factors overflow past s ~ 85
-    c_s = math.exp(2.0 * math.lgamma(s + 1.0) - math.lgamma(2.0 * s + 1.0))
-    out = base**s * c_s
-    return float(out) if np.ndim(theta) == 0 else out
-
-
 def trig_moment(param: HPParam, k: int) -> float:
     """Normalized trigonometric moment m_k = int e^{ik theta} lambda(theta) d theta/2pi:
     m_0 = 1 and m_k = prod_{j=1..k} (s+1-j)/(s+j)."""
@@ -125,6 +104,30 @@ class OPUCBasis:
         """Evaluate all basis polynomials: returns (len(z), degree_count)."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         return _szego(self.alpha, zz)[0]
+
+    def eval_weighted(self, phi) -> np.ndarray:
+        """Orthonormal functions sqrt(lambda) p_k at z = -e^{i phi}, phi in
+        [-pi, pi] the signed angle from the singular point -1: returns
+        (len(phi), degree_count).
+
+        lambda = c_s |2 sin(phi/2)|^(2s) is formed from phi itself, as
+        sqrt(c_s 4^s) |sin(phi/2)|^s: c_s 4^s ~ sqrt(pi s) and the power is
+        at most 1, so neither overflows at any s.  Raises DomainError at
+        phi = 0 when s < 0, where the weight blows up (integrably).
+        """
+        ff = np.atleast_1d(np.asarray(phi, dtype=float))
+        if np.any(np.abs(ff) > np.pi):
+            raise DomainError("phi must lie in [-pi, pi]")
+        s = self.param.s
+        if s < 0 and np.any(ff == 0.0):
+            raise DomainError(f"weight singular at z = -1 for s={s}")
+        # c_s = Gamma(s+1)^2 / Gamma(2s+1), in logs with the 4^s folded in
+        root_c = math.exp(math.lgamma(s + 1.0) - 0.5 * math.lgamma(2.0 * s + 1.0)
+                          + s * math.log(2.0))
+        P = self.eval_all(-np.exp(1j * ff))
+        # scaled in place: a fresh (points, degrees) product costs page faults
+        P *= (np.abs(np.sin(0.5 * ff)) ** s * root_c)[:, None]
+        return P
 
 
 def _szego(alpha: np.ndarray, z: np.ndarray):
@@ -169,19 +172,6 @@ def build_opuc(param: HPParam, n: int) -> OPUCBasis:
         alpha=alpha,
         gram_residual=_gram_residual(param, alpha),
     )
-
-
-def cd_sum_circle(basis: OPUCBasis, N: int, alpha: float, beta: float) -> complex:
-    """Projection kernel on the circle at angle pair (alpha, beta):
-    sqrt(lambda(alpha) lambda(beta)) * sum_{k<N} p_k(e^{i alpha}) conj(p_k(e^{i beta})),
-    with the weight probability-normalized against d theta/2pi."""
-    if N > basis.degree_count:
-        raise DegreeError(f"kernel order {N} exceeds basis degrees {basis.degree_count}")
-    la = eval_circle_weight(basis.param, alpha)
-    lb = eval_circle_weight(basis.param, beta)
-    pa = basis.eval_all(np.exp(1j * alpha))[0, :N]
-    pb = basis.eval_all(np.exp(1j * beta))[0, :N]
-    return complex(math.sqrt(la * lb) * np.sum(pa * np.conj(pb)))
 
 
 def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> float:

@@ -20,6 +20,20 @@ def de_nodes(n: int, t_max: float = 4.2):
     return x[keep], w[keep]
 
 
+def cd_sum_circle(basis, N: int, alpha: float, beta: float) -> complex:
+    """Projection kernel on the circle at the angle pair (alpha, beta) in
+    (-pi, pi), summed directly:
+    sqrt(lambda(alpha) lambda(beta)) sum_{k<N} p_k(e^{i alpha}) conj(p_k(e^{i beta})),
+    with its own weight lambda = c_s (2 + 2cos theta)^s, probability-normalized
+    against d theta/2pi."""
+    s = basis.param.s
+    c_s = math.exp(2.0 * math.lgamma(s + 1.0) - math.lgamma(2.0 * s + 1.0))
+    la, lb = (c_s * (2.0 + 2.0 * math.cos(t)) ** s for t in (alpha, beta))
+    pa = basis.eval_all(np.exp(1j * alpha))[0, :N]
+    pb = basis.eval_all(np.exp(1j * beta))[0, :N]
+    return complex(math.sqrt(la * lb) * np.sum(pa * np.conj(pb)))
+
+
 def reflected_phi_n(s: float, n: int, alpha: float, beta: float) -> complex:
     """The n-fold rescaled circle kernel built on its own weight: the
     reflected weight (4 sin^2(theta/2))^s c_s, singular at 0, and its

@@ -70,9 +70,9 @@ class TestExitCodes:
         (["experiment", "contraction", "--sprime", "1e300"], 2),
     ])
     def test_experiment_parameter_upper_bounds(self, capsys, argv, code):
-        # past eps = 1000 the variance windows outgrow memory; past
-        # sprime = 512 the circle weight's 4^s overflows; at sprime = 511 the
-        # proxy's mass has left the damped grid, so the check fails
+        # past eps = 1000 the variance windows outgrow memory; sprime shares
+        # the range of s, below 512; at sprime = 511 the proxy's mass has
+        # left the damped grid, so the check fails
         assert main(argv) == code
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
@@ -188,7 +188,7 @@ class TestExitCodes:
         ["sample", "--s", "600", "--N", "4", "--draws", "2"],
     ])
     def test_s_beyond_weight_range_is_two(self, capsys, argv):
-        # the circle weight peaks at 4^s, which overflows a double from s = 512
+        # s is refused from 512 on: past it the bases lose precision as s grows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 2
@@ -510,20 +510,22 @@ class TestSample:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_replay_ignores_old_R_key(self, capsys, tmp_path, monkeypatch):
-        # sidecars written before SamplerConfig lost its R field carry
-        # "R": 1e6; unknown keys are ignored, so they replay byte for byte
+        # sidecars written before SamplerConfig lost its R and grid_points
+        # fields carry "R": 1e6 and "grid_points": 4096; unknown keys are
+        # ignored, so they replay byte for byte
         monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
         run(capsys, ["sample", "--s", "0", "--N", "3", "--draws", "25",
                      "--seed", "4", "--out", "a.csv"])
         side_path = tmp_path / "a.csv.json"
-        side = json.loads(side_path.read_text())
-        assert "R" not in side
-        side["R"] = 1.0e6
-        side_path.write_text(json.dumps(side, indent=1, sort_keys=True) + "\n")
-        rc, rep = run(capsys, ["sample", "--replay", str(side_path),
-                               "--out", "b.csv"])
-        assert rc == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        fresh = json.loads(side_path.read_text())
+        for key, value in (("R", 1.0e6), ("grid_points", 4096)):
+            assert key not in fresh
+            side = dict(fresh, **{key: value})
+            side_path.write_text(json.dumps(side, indent=1, sort_keys=True) + "\n")
+            rc, rep = run(capsys, ["sample", "--replay", str(side_path),
+                                   "--out", "b.csv"])
+            assert rc == 0
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_replay_rejects_non_sidecar(self, capsys, tmp_path):
         p = tmp_path / "junk.json"

@@ -27,7 +27,8 @@ from hpkernels.sampling import (
     sample_hp_matrix_s0_batch,
     sample_projection_dpp_batch,
 )
-from hpkernels.weights_opuc import HPParam, build_opuc, cd_sum_circle
+from hpkernels.weights_opuc import HPParam, build_opuc
+from oracles import cd_sum_circle
 
 
 class TestTent:

@@ -3,11 +3,13 @@ is used by the package itself, a demo or the benchmark, not only by tests.
 
 A use is an AST name, attribute or import of the name in ``src/``,
 ``demos/`` or ``perfbench/*.py``; the name's own ``def`` or ``class``
-does not count.
+does not count.  The methods the benchmark tracer wraps must exist too.
 """
 
 import ast
 import glob
+import importlib
+import importlib.util
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -17,8 +19,6 @@ USERS = MODULES + sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))) + sorte
 
 # public names kept without a production use, each for a stated reason
 ALLOWED = {
-    "cd_sum_circle": "the direct Christoffel-Darboux sum; the tests' reference "
-                     "for circle_moment_JN",
     "s2_functional": "the s <= -1/2 functional; it either becomes an "
                      "importance-weight check of the damping or goes",
 }
@@ -63,3 +63,20 @@ def test_every_public_name_is_used():
 def test_allowlist_holds_only_unused_public_names():
     exported = {n for path in MODULES for n in _exported(_tree(path))}
     assert sorted(set(ALLOWED) - (exported - _used_names())) == []
+
+
+def test_traced_methods_exist():
+    # the benchmark tracer wraps these methods by class __dict__: a method
+    # deleted or renamed here would fail the traced run with a KeyError
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{layer}.{cls_name}.{meth}"
+        for layer, classes in tracing.METHODS.items()
+        for cls_name, methods in classes.items()
+        for meth in methods
+        if meth not in vars(getattr(importlib.import_module(f"hpkernels.{layer}"), cls_name))
+    ]
+    assert missing == []

@@ -75,13 +75,13 @@ class TestConfiguration:
 class TestSamplerConfig:
     def test_defaults_valid(self):
         cfg = SamplerConfig()
-        assert cfg.grid_points == 4096 and cfg.method == "spectral_dpp"
+        assert cfg.method == "spectral_dpp" and sampling.GRID_POINTS == 4096
 
     @pytest.mark.parametrize("kw", [
         {"seed": -1},
         {"seed": 2**64},
-        {"grid_points": 4095},
-        {"grid_points": 8},
+        {"n_chains": 0},
+        {"step_scale": -1.0},
         {"method": "exact"},
         {"thinning": 0},
         {"burn_in": -5},
@@ -150,10 +150,11 @@ class TestProjectionDPP:
         assert np.array_equal(a, b)
 
     def test_grid_too_coarse(self):
-        # singular endpoint weight needs more nodes than the cap allows
-        k = build_finite_kernel(HPParam(-0.3), 3)
-        with pytest.raises(GridTooCoarse):
-            sample_projection_dpp_batch(k, SamplerConfig(seed=1, grid_points=1024), 1)
+        # singular endpoint weight needs more nodes than the cap allows; the
+        # message names the last grid built, 4096 doubled four times
+        k = build_finite_kernel(HPParam(-0.3), 4)
+        with pytest.raises(GridTooCoarse, match=r"deficit 1\.145e-02 at 65536 nodes$"):
+            sample_projection_dpp_batch(k, SamplerConfig(seed=1), 1)
 
     def test_line_route_rejected(self):
         k = build_finite_kernel(HPParam(0.5), 3, route="line_direct")
@@ -205,7 +206,7 @@ def circle_grid():
     def get(s, N):
         if (s, N) not in cache:
             k = build_finite_kernel(HPParam(s), N)
-            cache[s, N] = sampling._prepare_grid(k, SamplerConfig())
+            cache[s, N] = sampling._prepare_grid(k)
         return cache[s, N]
     return get
 
@@ -431,11 +432,11 @@ class TestFrozenBits:
             cfg = SamplerConfig(seed=N + 1)
             digests.append(_sha(sample_projection_dpp_batch(k, cfg, n_draws)))
             key, x, Q = sampling._grid_slot  # one grid held: the last one
-            assert key[:3] == (HPParam(s), N, cfg.grid_points)
+            assert key[:2] == (HPParam(s), N)
             assert not x.flags.writeable and not Q.flags.writeable
             with pytest.raises(ValueError):
                 Q[0, 0] = 0.0
-            x2, Q2 = sampling._prepare_grid(k, cfg)
+            x2, Q2 = sampling._prepare_grid(k)
             assert x2 is x and Q2 is Q
         assert builds == [(0.5, 6, 4096), (0.0, 64, 4096), (0.5, 6, 4096)]
         assert digests == [
@@ -444,14 +445,23 @@ class TestFrozenBits:
             "0517e472d0b5e7fa6e9e6602257c8e9ce81f48e4451794247e185afa33ca75bd",
         ]
 
-    def test_slot_keyed_by_the_basis(self):
+    def test_slot_keyed_by_the_basis(self, monkeypatch):
         # a kernel carrying another basis at the same (s, N) is not served
-        # the kept grid: its rows miss the weight's mass
+        # the kept grid: its own grid is built, with the basis's own weight
+        builds = []
+        real = sampling._dpp_grid
+
+        def counted(k, M):
+            builds.append(k.opuc.param.s)
+            return real(k, M)
+        monkeypatch.setattr(sampling, "_dpp_grid", counted)
+        monkeypatch.setattr(sampling, "_grid_slot", None)
         k = build_finite_kernel(HPParam(0.5), 6)
-        sampling._prepare_grid(k, SamplerConfig())
+        Q = sampling._prepare_grid(k)[1]
         other = dataclasses.replace(k, opuc=build_opuc(HPParam(1.0), 6))
-        with pytest.raises(GridTooCoarse):
-            sampling._prepare_grid(other, SamplerConfig())
+        Q2 = sampling._prepare_grid(other)[1]
+        assert builds == [0.5, 1.0] and Q2 is not Q
+        assert sampling._prepare_grid(other)[1] is Q2 and builds == [0.5, 1.0]
 
     def test_cli_sample_and_replay(self, tmp_path, monkeypatch):
         # in one process the replay is served the kept grid
@@ -575,7 +585,7 @@ class TestMatrixSampler:
 class TestArchive:
     def test_round_trip(self, tmp_path):
         cfgs = [Configuration((0.5, -1.25)), Configuration((2.0, 0.125, -0.75))]
-        sc = SamplerConfig(seed=42, grid_points=64, thinning=3)
+        sc = SamplerConfig(seed=42, thinning=3)
         path = os.path.join(tmp_path, "draws.csv")
         write_sample_archive(path, cfgs, sc)
         back, sc2 = read_sample_archive(path)

@@ -19,14 +19,12 @@ from hpkernels.errors import (
     DomainError,
     MomentDivergence,
 )
-from oracles import de_nodes
+from oracles import cd_sum_circle, de_nodes
 from hpkernels.weights_opuc import (
     HPParam,
     build_monic_line,
     build_opuc,
     cd_identity_residual,
-    cd_sum_circle,
-    eval_circle_weight,
     eval_line_weight,
     top_sq_norm,
     trig_moment,
@@ -92,29 +90,36 @@ class TestParam:
             HPParam(complex(-0.7, 2.0))
 
 
+def circle_weight(s, theta):
+    """lambda(theta) read off the weighted basis: p_0 = 1, and theta is the
+    angle from the singular point minus +-pi."""
+    theta = np.asarray(theta, dtype=float)
+    row = build_opuc(HPParam(s), 1).eval_weighted(theta - np.copysign(np.pi, theta))
+    return np.abs(row[:, 0]) ** 2
+
+
 class TestCircleWeight:
     def test_values(self):
         # probability-normalized: c_1 = Gamma(2)^2/Gamma(3) = 1/2
-        p = HPParam(1.0)
-        assert eval_circle_weight(p, 0.0) == pytest.approx(2.0, rel=1e-15)
-        assert eval_circle_weight(p, math.pi / 2) == pytest.approx(1.0, rel=1e-14)
+        assert circle_weight(1.0, 0.0)[0] == pytest.approx(2.0, rel=1e-15)
+        assert circle_weight(1.0, math.pi / 2)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_singular_endpoint(self):
         with pytest.raises(DomainError):
-            eval_circle_weight(HPParam(-0.3), math.pi)
+            build_opuc(HPParam(-0.3), 3).eval_weighted(0.0)
         # positive s: zero, not singular
-        assert eval_circle_weight(HPParam(0.5), math.pi) == 0.0
+        assert np.all(build_opuc(HPParam(0.5), 3).eval_weighted(0.0) == 0.0)
 
     def test_out_of_range_angle(self):
         with pytest.raises(DomainError):
-            eval_circle_weight(HPParam(0.5), 3.5)
+            build_opuc(HPParam(0.5), 3).eval_weighted(3.5)
 
     def test_normalization_constant(self):
         # the normalized weight integrates to one against d theta/2pi
         for s in (0.5, 1.0, 1.7):
             th, wt = de_nodes(4000)
             th, wt = th * np.pi, wt * np.pi
-            total = np.sum(wt * eval_circle_weight(HPParam(s), th)) / (2 * np.pi)
+            total = np.sum(wt * circle_weight(s, th)) / (2 * np.pi)
             assert total == pytest.approx(1.0, rel=1e-11)
 
 
@@ -143,7 +148,7 @@ class TestTrigMoments:
     def test_against_quadrature(self, s):
         th, wt = de_nodes(6000)
         th, wt = th * np.pi, wt * np.pi
-        lam = eval_circle_weight(HPParam(s), th)
+        lam = circle_weight(s, th)
         # the blowup endpoint caps double-precision quadrature near
         # (1e-16)^(1+2s) for s < 0; smooth cases resolve fully
         tol = 1e-5 if s < 0 else 5e-11
@@ -196,7 +201,7 @@ class TestOPUC:
         b = build_opuc(HPParam(s), 40)
         th, wt = de_nodes(10000)
         th, wt = th * np.pi, wt * np.pi
-        lam = eval_circle_weight(HPParam(s), th)
+        lam = circle_weight(s, th)
         P = b.eval_all(np.exp(1j * th))
         G = (P.conj().T * (wt * lam)) @ P / (2 * np.pi)
         assert np.max(np.abs(G - np.eye(40))) < 1e-10
@@ -207,7 +212,7 @@ class TestOPUC:
         b = build_opuc(HPParam(s), 40)
         th, wt = de_nodes(10000)
         th, wt = th * np.pi, wt * np.pi
-        lam = eval_circle_weight(HPParam(s), th)
+        lam = circle_weight(s, th)
         P = b.eval_all(np.exp(1j * th))
         G = (P.conj().T * (wt * lam)) @ P / (2 * np.pi)
         assert np.max(np.abs(G - np.eye(40))) < 1e-6
