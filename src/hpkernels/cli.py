@@ -37,13 +37,14 @@ from .errors import (
 from .specfun import bessel_j, gamma_fn, jsq_over_t_integral
 from .weights_opuc import (
     HPParam,
+    build_monic_line,
     build_opuc,
     cd_identity_residual,
     eval_line_weight,
-    top_sq_norm,
-    trig_moment,
+    top_log_gammas,
 )
 from .kernels import (
+    _PROJECTION_S_MIN,
     LimitKernel,
     VFunction,
     _finite_recurrence_residuals,
@@ -312,6 +313,8 @@ def _validate(spec: RunSpec) -> None:
             _require_s(p, f"suite {p['suite']}")
             _require(p["N"] >= 2, "N >= 2 required")
         if p["suite"] == "kernels":
+            _require(p["s"] >= _PROJECTION_S_MIN,
+                     f"suite kernels: the projection check requires s >= {_PROJECTION_S_MIN}")
             # the finite shift identity divides by ||V||^2 and the projection
             # tail bound divides by Gamma(s+3/2): both must be doubles
             _require(log_v_norm_sq(p["s"], p["N"]) < _LN_MAX
@@ -414,18 +417,28 @@ _CD_REL = 1e-12
 
 
 def _suite_opuc(p: dict) -> list[dict]:
-    param = HPParam(p["s"])
-    N = p["N"]
-    basis = build_opuc(param, N + 1)
-    checks = [
-        _chk("moment0_normalized", abs(trig_moment(param, 0) - 1.0), 1e-12),
-    ]
+    s, N = p["s"], p["N"]
+    basis = build_opuc(HPParam(s), N + 1)
+    # int lambda dphi/2pi by the one-node Gauss-Jacobi rule in x = cos phi
+    # (alpha = s - 1/2, beta = -1/2), exact for p_0 = 1: node x_1 = -s/(s+1),
+    # weight mu_0 = 2^s Gamma(s+1/2) sqrt(pi)/Gamma(s+1); eval_weighted
+    # carries lambda = c_s 2^s (1-x)^s, which the rule's weight already holds
+    one_minus = (2.0 * s + 1.0) / (s + 1.0)
+    psi0 = basis.eval_weighted(2.0 * math.asin(math.sqrt(0.5 * one_minus)))[0, 0]
+    mass = abs(psi0) ** 2 * math.exp(
+        s * math.log(2.0 / one_minus) + math.lgamma(s + 0.5) - math.lgamma(s + 1.0)
+        - 0.5 * math.log(math.pi))
+    checks = [_chk("moment0_normalized", abs(mass - 1.0), 1e-12)]
     for th, ta in ((0.3, 0.9), (1.2, -0.7), (2.0, 0.4)):
         P = np.abs(basis.eval_all(np.exp(1j * np.array([th, ta])))[:, :N])
         checks.append(_chk(f"cd_identity_t{th}", cd_identity_residual(basis, N, th, ta),
                            _CD_REL * float(P[0] @ P[1])))
-    top = top_sq_norm(p["s"], N)
-    checks.append(_chk("top_norm_positive", top, 0.0, ok=top > 0.0))
+    # h_{N-1} by its closed form and by the recurrence h_0 b_1 ... b_{N-1},
+    # in logs: h_{N-1} itself underflows at s = 300, N = 1000
+    line = build_monic_line(HPParam(s), N, N - 1)
+    log_rec = math.log(line.sq_norms[0]) + float(np.sum(np.log(line.b[1:])))
+    checks.append(_chk("top_norm_log", abs(log_rec - math.log(math.pi) - top_log_gammas(s, N)),
+                       1e-11 + 1e-13 * N))
     return checks
 
 

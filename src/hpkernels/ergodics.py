@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import LimitKernel, _limit_diag, build_finite_kernel
 from .quadrature import graded_nodes, panel_nodes
-from .sampling import SamplerConfig, sample_hp_matrix_s0_batch
+from .sampling import SamplerConfig, _matrix_stream
 from .weights_opuc import HPParam
 
 __all__ = [
@@ -176,10 +176,10 @@ def gamma1_balance_experiment(M: int, N_list, n_list, draws: int,
     if any(N < 1 or N > M for N in N_list) or any(n < 1 for n in n_list):
         raise DomainError("corner sizes must lie in [1, M], cutoffs >= 1")
     Ns, ns = sorted(set(N_list)), sorted(set(n_list))
-    Xs = sample_hp_matrix_s0_batch(M, SamplerConfig(seed=seed), draws)
     spectra = {N: [] for N in Ns}
     traces = {N: [] for N in Ns}
-    for X in Xs:
+    # one M x M matrix held at a time: 60 of them take 3.75 GiB at M = 2048
+    for X in _matrix_stream(M, SamplerConfig(seed=seed), draws):
         for N in Ns:
             spectra[N].append(np.linalg.eigvalsh(X[:N, :N]) / N)
             traces[N].append(float(np.trace(X[:N, :N]).real) / N)

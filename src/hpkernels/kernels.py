@@ -388,6 +388,10 @@ def _inner_table(s: float, q: ProjectionQuad):
     return table
 
 
+# the smallest s check_projection takes; `hpk check kernels` refuses below it
+_PROJECTION_S_MIN = -0.49
+
+
 def check_projection(
     k: LimitKernel,
     x: float,
@@ -410,8 +414,8 @@ def check_projection(
     about 1.6 MB at the default plan, at most 4 entries.
     """
     s = k.param.s
-    if s < -0.49:
-        raise DomainError("projection check requires s >= -0.49")
+    if s < _PROJECTION_S_MIN:
+        raise DomainError(f"projection check requires s >= {_PROJECTION_S_MIN}")
     q = quad or ProjectionQuad()
     if R_trunc <= 2.0 * max(abs(x), abs(y), 1.0):
         raise DomainError("R_trunc too small for the tail estimate")

@@ -380,10 +380,16 @@ def sample_hp_matrix_s0_batch(M: int, cfg: SamplerConfig, n_draws: int) -> list:
     measure-zero event of 1-U being numerically singular is retried a few
     times before SingularCayley escapes.
     """
+    return list(_matrix_stream(M, cfg, n_draws))
+
+
+def _matrix_stream(M: int, cfg: SamplerConfig, n_draws: int):
+    """The draws of sample_hp_matrix_s0_batch, yielded one at a time."""
     if M < 1:
         raise DomainError("M >= 1 required")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    return [_matrix_draw(M, rng) for _ in range(n_draws)]
+    for _ in range(n_draws):
+        yield _matrix_draw(M, rng)
 
 
 # ---------------------------------------------------------------------------

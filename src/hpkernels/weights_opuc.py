@@ -18,6 +18,7 @@ its relative precision:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +34,6 @@ __all__ = [
     "build_opuc",
     "cd_identity_residual",
     "build_monic_line",
-    "trig_moment",
 ]
 
 
@@ -69,17 +69,6 @@ def eval_line_weight(param: HPParam, N: int, x) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def trig_moment(param: HPParam, k: int) -> float:
-    """Normalized trigonometric moment m_k = int e^{ik theta} lambda(theta) d theta/2pi:
-    m_0 = 1 and m_k = prod_{j=1..k} (s+1-j)/(s+j)."""
-    s = param.s
-    k = abs(int(k))
-    m = 1.0
-    for j in range(1, k + 1):
-        m *= (s + 1.0 - j) / (s + j)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # OPUC basis
 
@@ -88,17 +77,41 @@ def trig_moment(param: HPParam, k: int) -> float:
 class OPUCBasis:
     """Orthonormal polynomials p_0..p_{n-1} for the circle weight lambda.
 
-    alpha holds the (real) Verblunsky coefficients alpha_0..alpha_{n-2}.
-    gram_residual is a diagnostic: the max-norm residual of
-    C T C^H - I over the first min(n, 32) degrees, with C their float64
-    coefficients from the recursion and T the Toeplitz matrix of the
-    closed-form trigonometric moments.
+    alpha holds the (real) Verblunsky coefficients alpha_0..alpha_{n-2};
+    the diagnostic gram_residual is computed on first read.
     """
 
     param: HPParam
     degree_count: int
     alpha: np.ndarray
-    gram_residual: float
+
+    @functools.cached_property
+    def gram_residual(self) -> float:
+        """max |G - I| over the first m = min(n, 32) degrees, G the Gram of
+        eval_weighted rows against d phi/2pi.
+
+        In x = cos phi the weight is (1-x)^(s-1/2) (1+x)^(-1/2) up to a
+        constant, so the m-node Gauss-Jacobi rule, mirrored to +-phi, is
+        exact for G and the value measures rounding only.  Raises
+        DomainError where the rule is not representable, as s -> -1/2.
+        """
+        from scipy.special import roots_jacobi
+
+        s = self.param.s
+        m = min(self.degree_count, 32)
+        if s - 0.5 <= -1.0:
+            raise DomainError(f"no Gauss-Jacobi rule in double precision at s={s!r}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x, w = roots_jacobi(m, s - 0.5, -0.5)
+            one_minus = 1.0 - x
+            # w (1-x)^(-s) undoes the weight that eval_weighted carries
+            wt = np.exp(np.log(w) - s * np.log(one_minus) - math.log(2.0 * math.pi))
+        if not (np.all(w > 0) and np.all(one_minus > 0) and np.all(np.isfinite(wt))):
+            raise DomainError(f"no Gauss-Jacobi rule in double precision at s={s!r}")
+        phi = 2.0 * np.arcsin(np.sqrt(0.5 * one_minus))
+        P = self.eval_weighted(np.concatenate((phi, -phi)))[:, :m]
+        G = (P.conj().T * np.concatenate((wt, wt))) @ P
+        return float(np.max(np.abs(G - np.eye(m))))
 
     def eval_all(self, z) -> np.ndarray:
         """Evaluate all basis polynomials: returns (len(z), degree_count)."""
@@ -144,17 +157,6 @@ def _szego(alpha: np.ndarray, z: np.ndarray):
     return P, star
 
 
-def _gram_residual(param: HPParam, alpha: np.ndarray) -> float:
-    m = min(alpha.size + 1, 32)
-    # coefficients of p_0..p_{m-1} from their values at the m-th roots of unity
-    P = _szego(alpha[: m - 1], np.exp(2j * np.pi * np.arange(m) / m))[0]
-    C = np.fft.fft(P, axis=0).T / m
-    moments = np.array([trig_moment(param, j) for j in range(m)])
-    idx = np.arange(m)
-    T = moments[np.abs(idx[:, None] - idx[None, :])]
-    return float(np.max(np.abs(C @ T @ C.conj().T - np.eye(m))))
-
-
 def build_opuc(param: HPParam, n: int) -> OPUCBasis:
     """Orthonormal p_0..p_{n-1} from the closed-form Verblunsky coefficients
     alpha_k = (-1)^k s/(k+s+1)."""
@@ -166,12 +168,7 @@ def build_opuc(param: HPParam, n: int) -> OPUCBasis:
     k = np.arange(n - 1)
     alpha = s / (k + s + 1.0)
     alpha = np.where(k % 2 == 0, alpha, -alpha)
-    return OPUCBasis(
-        param=param,
-        degree_count=n,
-        alpha=alpha,
-        gram_residual=_gram_residual(param, alpha),
-    )
+    return OPUCBasis(param=param, degree_count=n, alpha=alpha)
 
 
 def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> float:
@@ -263,11 +260,6 @@ def top_log_gammas(s: float, N: int) -> float:
     )
 
 
-def top_sq_norm(s: float, N: int) -> float:
-    """h_{N-1} = int p_{N-1}^2 (1+x^2)^(-s-N) dx in closed form."""
-    return math.pi * math.exp(top_log_gammas(s, N))
-
-
 def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:
     """Monic pseudo-Jacobi polynomials p_0..p_{max_degree} from the closed
     form b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)), a = s+N, and
@@ -284,7 +276,10 @@ def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:
         raise DomainError("max_degree must be >= 0")
     a = s + N
     k = np.arange(1, max_degree + 1)
-    b = np.concatenate(([0.0], k * (2 * a - k) / ((2 * a - 2 * k - 1) * (2 * a - 2 * k + 1))))
+    # 2a - 2k -+ 1 formed from 2s + 1: at k = N-1 and s -> -1/2 it is 2s + 1,
+    # whose digits 2a - 2k - 1 loses to 2a
+    c = 2.0 * s + 1.0
+    b = np.concatenate(([0.0], k * (2 * a - k) / ((c + 2 * (N - 1 - k)) * (c + 2 * (N - k)))))
     log_h0 = 0.5 * math.log(math.pi) + math.lgamma(a - 0.5) - math.lgamma(a)
     # the product h_0 b_1 ... b_k is summed in logs: mid-range h_k drop
     # below the double-precision range at N ~ 1000 while h_{N-1} does not

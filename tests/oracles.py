@@ -20,6 +20,17 @@ def de_nodes(n: int, t_max: float = 4.2):
     return x[keep], w[keep]
 
 
+def trig_moment(param, k: int) -> float:
+    """Normalized trigonometric moment m_k = int e^{ik theta} lambda(theta) d theta/2pi
+    of the circle weight: m_0 = 1 and m_k = prod_{j=1..k} (s+1-j)/(s+j)."""
+    s = param.s
+    k = abs(int(k))
+    m = 1.0
+    for j in range(1, k + 1):
+        m *= (s + 1.0 - j) / (s + j)
+    return m
+
+
 def cd_sum_circle(basis, N: int, alpha: float, beta: float) -> complex:
     """Projection kernel on the circle at the angle pair (alpha, beta) in
     (-pi, pi), summed directly:

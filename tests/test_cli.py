@@ -35,6 +35,14 @@ class TestExitCodes:
     def test_kernels_below_parameter_floor_is_two(self, capsys):
         assert main(["check", "kernels", "--s", "-1"]) == 2
 
+    @pytest.mark.parametrize("s", ["-0.495", "-0.49999"])
+    def test_kernels_below_projection_floor_is_two(self, capsys, s):
+        # the projection check takes s >= -0.49: refused before any work
+        assert main(["check", "kernels", "--s", s]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "s >= -0.49" in captured.err
+
     def test_unknown_suite_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["check", "nosuch"])
@@ -151,6 +159,27 @@ class TestExitCodes:
         assert rc == 0
         cd = [c for c in rep["checks"] if c["name"].startswith("cd_identity")]
         assert len(cd) == 3 and max(c["value"] for c in cd) > 1e-10
+
+    @pytest.mark.parametrize("s, N", [("300", "1000"), ("-0.49999999999999994", "8"),
+                                      ("-0.4999", "64"), ("511.9", "64")])
+    def test_opuc_check_at_range_ends_is_zero(self, capsys, s, N):
+        # h_{N-1} underflows at s = 300, N = 1000; 2s + 1 is 1.1e-16 at the
+        # lowest s: the top norm is compared in logs, its last factor
+        # formed from 2s + 1
+        rc, rep = run(capsys, ["check", "opuc", "--s", s, "--N", N])
+        assert rc == 0
+        assert rep["passed"] is True
+
+    def test_opuc_check_catches_a_misnormalized_weight(self, capsys, monkeypatch):
+        # moment0_normalized integrates the weight eval_weighted carries
+        from hpkernels.weights_opuc import OPUCBasis
+        weighted = OPUCBasis.eval_weighted
+        monkeypatch.setattr(OPUCBasis, "eval_weighted",
+                            lambda self, phi: weighted(self, phi) * (1.0 + 1e-9))
+        rc, rep = run(capsys, ["check", "opuc", "--s", "0.5"])
+        assert rc == 1
+        m0 = next(c for c in rep["checks"] if c["name"] == "moment0_normalized")
+        assert not m0["pass"] and m0["value"] > 1e-9
 
     def test_opuc_check_catches_a_perturbed_coefficient(self, capsys, monkeypatch):
         # p_k from a recursion with one Verblunsky coefficient off by 1e-9,

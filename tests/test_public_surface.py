@@ -80,3 +80,13 @@ def test_traced_methods_exist():
         if meth not in vars(getattr(importlib.import_module(f"hpkernels.{layer}"), cls_name))
     ]
     assert missing == []
+
+
+def test_traced_build_attributes_read_as_numbers():
+    # the benchmark tracer reads these off a built basis with getattr: the
+    # Gram diagnostic must stay an attribute that reads as a float
+    from hpkernels.weights_opuc import HPParam, build_opuc
+
+    basis = build_opuc(HPParam(0.5), 8)
+    assert type(basis.gram_residual) is float
+    assert type(basis.degree_count) is int

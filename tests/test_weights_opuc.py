@@ -6,6 +6,7 @@ product and exact Gamma-ratio line moments, through an independent
 Cholesky / Gram-Schmidt construction.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,15 +20,14 @@ from hpkernels.errors import (
     DomainError,
     MomentDivergence,
 )
-from oracles import cd_sum_circle, de_nodes
+from oracles import cd_sum_circle, de_nodes, trig_moment
 from hpkernels.weights_opuc import (
     HPParam,
     build_monic_line,
     build_opuc,
     cd_identity_residual,
     eval_line_weight,
-    top_sq_norm,
-    trig_moment,
+    top_log_gammas,
 )
 
 # fixed evaluation points for the frozen coefficient rows: the origin (the
@@ -221,6 +221,34 @@ class TestOPUC:
         b = build_opuc(HPParam(0.8), 50)
         assert b.gram_residual < 1e-8
 
+    @pytest.mark.parametrize("s", [-0.45, -0.3, 0.0, 0.5, 1.0, 5.0, 20.0, 100.0, 300.0, 511.0])
+    def test_gram_residual_measures_rounding(self, s):
+        # the Gauss-Jacobi rule is exact at these degrees: what is left is
+        # rounding, at every s the commands take
+        assert build_opuc(HPParam(s), 64).gram_residual <= 1e-10
+
+    def test_gram_residual_catches_a_perturbed_coefficient(self):
+        b = build_opuc(HPParam(0.7), 64)
+        alpha = b.alpha.copy()
+        alpha[10] *= 1.0 + 1e-8
+        assert dataclasses.replace(b, alpha=alpha).gram_residual > 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-8, 1e-13, 1e-15, 2.0**-54])
+    def test_gram_residual_near_minus_half_is_finite_or_refused(self, eps):
+        # the rule's weights leave double precision as s -> -1/2
+        b = build_opuc(HPParam(-0.5 + eps), 64)
+        try:
+            value = b.gram_residual
+        except DomainError:
+            return
+        assert math.isfinite(value)
+
+    def test_gram_residual_is_computed_on_first_read(self):
+        b = build_opuc(HPParam(0.5), 16)
+        assert "gram_residual" not in vars(b)
+        value = b.gram_residual
+        assert vars(b)["gram_residual"] == value
+
     def test_degree_bounds(self):
         with pytest.raises(DomainError):
             build_opuc(HPParam(0.5), 0)
@@ -320,15 +348,24 @@ class TestMonicLine:
             build_monic_line(HPParam(0.5), 4, 4)
 
     def test_top_norm_closed_form(self):
-        # h_{N-1} against the Gamma-ratio closed form
+        # ln h_{N-1} against the Gamma-ratio closed form
         for s, N in [(0.0, 1), (0.0, 3), (0.5, 4), (1.0, 5), (-0.3, 6)]:
             b = build_monic_line(HPParam(s), N, N - 1)
-            assert b.sq_norms[N - 1] == pytest.approx(top_sq_norm(s, N), rel=1e-12)
+            want = math.log(math.pi) + top_log_gammas(s, N)
+            assert math.log(b.sq_norms[N - 1]) == pytest.approx(want, abs=1e-12)
 
     def test_top_norm_values(self):
         # s=0, N=1: integral of (1+x^2)^(-1) = pi
-        assert top_sq_norm(0.0, 1) == pytest.approx(math.pi, rel=1e-14)
-        assert top_sq_norm(0.5, 4) == pytest.approx(0.2, rel=1e-13)
+        assert math.pi * math.exp(top_log_gammas(0.0, 1)) == pytest.approx(math.pi, rel=1e-14)
+        assert math.pi * math.exp(top_log_gammas(0.5, 4)) == pytest.approx(0.2, rel=1e-13)
+
+    def test_last_factor_keeps_its_digits_near_minus_half(self):
+        # at s = -1/2 + 2^-54, s + N rounds to N - 1/2, and 2a - 2k - 1 formed
+        # from it is 0 at k = N-1; formed from 2s + 1 it keeps b_{N-1} finite
+        s, N = -0.49999999999999994, 8
+        b = build_monic_line(HPParam(s), N, N - 1)
+        log_rec = math.log(b.sq_norms[0]) + float(np.sum(np.log(b.b[1:])))
+        assert log_rec == pytest.approx(math.log(math.pi) + top_log_gammas(s, N), abs=1e-12)
 
     def test_orthogonality_quadrature(self):
         s, N = 0.5, 6
