@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import LimitKernel, _limit_diag, build_finite_kernel
-from .quadrature import graded_nodes, panel_nodes
+from .quadrature import gauss_panels, graded_nodes
 from .sampling import SamplerConfig, _matrix_stream
 from .weights_opuc import HPParam
 
@@ -71,9 +71,40 @@ def cutoff_sums(points, ns):
 
 def _half_window_nodes(eps: float, N: int, levels: int = 12, order: int = 20):
     """Nodes on (0, eps], graded dyadically toward 0; order Gauss nodes per
-    panel, each dyadic piece cut into panels of width <= 2/N (the kernel
-    oscillates on the scale 1/N in x, and likewise in theta)."""
+    panel, each dyadic piece cut into panels of width <= 2/N.
+
+    For integrals of the diagonal only: rho_1 is smooth on these panels,
+    but K(x, y) off the diagonal oscillates with the point spacing, pi/N^2
+    in x near 0, which they do not resolve (see _window_edges)."""
     return graded_nodes(eps, levels, order, density=0.5 * N)
+
+
+def _window_edges(eps: float, N: int) -> np.ndarray:
+    """Panel edges on [0, theta_eps], theta_eps = 2 arctan(N eps), for
+    window integrals of off-diagonal kernel values in theta = 2 arctan(N x),
+    where the points are about 2pi/N apart at every x.
+
+    max(4, ceil(N theta_eps / 4pi)) equal panels; the top one is bisected
+    toward theta_eps until it is no wider than its distance to theta = pi,
+    the image of x = infinity, where the integrand is singular."""
+    theta_eps = 2.0 * math.atan(N * eps)
+    n = max(4, math.ceil(N * theta_eps / (4.0 * math.pi)))
+    width = theta_eps / n
+    top = [theta_eps]
+    while width > math.pi - theta_eps:
+        width *= 0.5
+        top.insert(-1, theta_eps - width)
+    return np.concatenate((np.linspace(0.0, theta_eps, n + 1)[:-1], top))
+
+
+def _window_nodes(eps: float, N: int):
+    """Nodes and weights on (-eps, eps): 16 Gauss nodes per panel of
+    _window_edges, mapped by x = tan(theta/2)/N, dx = (1 + N^2 x^2)/(2N)
+    d theta, and mirrored."""
+    theta, wt = gauss_panels(_window_edges(eps, N))
+    xh = np.tan(0.5 * theta) / N
+    wh = wt * (1.0 + (N * xh) ** 2) / (2.0 * N)
+    return np.concatenate((-xh[::-1], xh)), np.concatenate((wh[::-1], wh))
 
 
 def rho1_second_moment(param: HPParam, N: int, eps: float) -> float:
@@ -99,18 +130,26 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
     return 2.0 * float(np.sum(w * integrand)) / (N * N)
 
 
+_TAIL_ORDER = 16  # Gauss nodes per tail panel
+
+
 def _geometric_tail(diag, s: float, R: float, growth: float, panels: int) -> float:
     """Integral of the even diagonal diag over |x| >= R: geometric pieces
-    [R growth^j, R growth^(j+1)] out to T = R growth^panels, then the
-    power-law remainder T diag(T) / (1 + 2s) matching the x^(-2-2s) decay."""
-    total = 0.0
-    lo = R
+    [R growth^j, R growth^(j+1)] of 20 equal panels each, out to
+    T = R growth^panels, then the power-law remainder T diag(T) / (1 + 2s)
+    matching the x^(-2-2s) decay.  diag is called once, on every node and
+    T; the pieces are summed one by one, in order."""
+    bounds = [R]
     for _ in range(panels):
-        hi = lo * growth
-        x, w = panel_nodes(lo, hi, 20)
-        total += float(np.sum(w * diag(x)))
-        lo = hi
-    tail = lo * float(diag(np.array([lo]))[0]) / (1.0 + 2.0 * s)
+        bounds.append(bounds[-1] * growth)
+    T = bounds[-1]
+    edges = [np.linspace(lo, hi, 21)[:-1] for lo, hi in zip(bounds, bounds[1:])]
+    x, w = gauss_panels(np.concatenate([*edges, [T]]), _TAIL_ORDER)
+    vals = diag(np.append(x, T))
+    total = 0.0
+    for piece in (w * vals[:-1]).reshape(panels, 20 * _TAIL_ORDER):
+        total += float(np.sum(piece))
+    tail = T * float(vals[-1]) / (1.0 + 2.0 * s)
     return 2.0 * (total + tail)
 
 
@@ -141,11 +180,10 @@ def variance_bound_check(param: HPParam, N: int, eps: float):
     """
     if eps <= 0:
         raise DomainError("eps > 0 required")
-    xh, wh = _half_window_nodes(eps, N, levels=10, order=16)
-    x = np.concatenate([-xh[::-1], xh])
-    w = np.concatenate([wh[::-1], wh])
-    F = build_finite_kernel(param, N).feature_matrix(x)  # K = F F^H
-    diag = float(np.sum(w * x * x * np.sum(np.abs(F) ** 2, axis=1)))
+    x, w = _window_nodes(eps, N)
+    k = build_finite_kernel(param, N)
+    diag = float(np.sum(w * x * x * k.rho1(x)))
+    F = k.feature_matrix(x)  # K = F F^H
     # double-int x y K(x,y)^2 = ||F^H diag(w x) F||_F^2: O(nodes N^2), no
     # nodes x nodes kernel matrix
     G = F.conj().T @ ((w * x)[:, None] * F)

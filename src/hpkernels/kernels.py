@@ -83,20 +83,23 @@ class FiniteKernel:
         K(x, y) = sum_k M[x, k] conj(M[y, k]); for the circle route the
         phase gauge is already fixed so that the sum is real up to roundoff.
         """
+        t = self._scaled(x)
+        N = self.N
+        if self.route == "line_direct":
+            return self.monic.eval_weighted(t)[:, :N] * math.sqrt(N)
+        phi, factor = _cayley(N, t)
+        P = self.opuc.eval_weighted(phi)
+        # gauge e^{i gamma}, gamma = (N-1) arg(i+t), makes the kernel real
+        gauge = np.exp(1j * (N - 1) * (0.5 * np.pi - np.arctan(t)))
+        P *= (gauge * factor)[:, None]
+        return P
+
+    def _scaled(self, x) -> np.ndarray:
+        """t = N x, refusing x = 0."""
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xx == 0.0):
             raise DomainError("kernel features are defined on R*")
-        N = self.N
-        t = N * xx
-        if self.route == "line_direct":
-            return self.monic.eval_weighted(t)[:, :N] * math.sqrt(N)
-        # z = (1 + i t)/(1 - i t) = -e^{i phi}
-        phi = -np.copysign(2.0 * np.arctan(1.0 / np.abs(t)), t)
-        P = self.opuc.eval_weighted(phi)[:, :N]
-        # gauge e^{i gamma}, gamma = (N-1) arg(i+t), makes the kernel real
-        gauge = np.exp(1j * (N - 1) * (0.5 * np.pi - np.arctan(t)))
-        P *= (gauge * (math.sqrt(N / math.pi) / np.hypot(1.0, t)))[:, None]
-        return P
+        return self.N * xx
 
     def kernel_matrix(self, x, y) -> np.ndarray:
         """K on the grid x (rows) by y (columns); real part returned, the
@@ -107,17 +110,29 @@ class FiniteKernel:
         return np.ascontiguousarray(K.real)
 
     def rho1(self, x) -> np.ndarray:
-        """First correlation function rho_1(x) = K(x, x) (diagonal)."""
-        M = self.feature_matrix(x)
-        return np.sum(np.abs(M) ** 2, axis=1)
+        """First correlation function rho_1(x) = K(x, x) (diagonal).
+
+        On the circle route the sum over degrees is kept during the one
+        Szego pass, so no (len(x), N) feature matrix is formed.
+        """
+        if self.route == "line_direct":
+            return np.sum(np.abs(self.feature_matrix(x)) ** 2, axis=1)
+        return self.opuc.diag_weighted(*_cayley(self.N, self._scaled(x)))
 
     def rho1_theta(self, theta) -> np.ndarray:
         """Circle-side density lambda(theta) sum |p_k|^2 w.r.t. d theta/2pi."""
         if self.route != "circle_cayley":
             raise DomainError("circle-side density needs the circle route")
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        P = self.opuc.eval_weighted(theta - np.copysign(np.pi, theta))[:, : self.N]
-        return np.sum(np.abs(P) ** 2, axis=1)
+        return self.opuc.diag_weighted(theta - np.copysign(np.pi, theta))
+
+
+def _cayley(N: int, t: np.ndarray):
+    """z = (1 + i t)/(1 - i t) = -e^{i phi}: returns the signed angle phi
+    from the singular point, and sqrt(N/pi) / |1 - i t|, which turns circle
+    functions into line functions of x = t/N."""
+    phi = -np.copysign(2.0 * np.arctan(1.0 / np.abs(t)), t)
+    return phi, math.sqrt(N / math.pi) / np.hypot(1.0, t)
 
 
 def build_finite_kernel(param: HPParam, N: int, route: str = "circle_cayley") -> FiniteKernel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -12,13 +13,23 @@ __all__ = ["gauss_panels", "panel_nodes", "graded_nodes"]
 def gauss_panels(edges, n_nodes: int = 16):
     """Gauss-Legendre nodes/weights compounded over the panels
     [edges[i], edges[i+1]]."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
+    gl_x, gl_w = _legendre_rule(n_nodes)
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     weights = (half[:, None] * gl_w[None, :]).ravel()
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n_nodes: int):
+    """The n_nodes-point Gauss-Legendre rule on [-1, 1], computed once per
+    order; read-only, since every caller shares it."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):

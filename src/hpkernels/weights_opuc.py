@@ -121,26 +121,62 @@ class OPUCBasis:
     def eval_weighted(self, phi) -> np.ndarray:
         """Orthonormal functions sqrt(lambda) p_k at z = -e^{i phi}, phi in
         [-pi, pi] the signed angle from the singular point -1: returns
-        (len(phi), degree_count).
-
-        lambda = c_s |2 sin(phi/2)|^(2s) is formed from phi itself, as
-        sqrt(c_s 4^s) |sin(phi/2)|^s: c_s 4^s ~ sqrt(pi s) and the power is
-        at most 1, so neither overflows at any s.  Raises DomainError at
-        phi = 0 when s < 0, where the weight blows up (integrably).
+        (len(phi), degree_count).  sqrt(lambda) comes from _root_weight, so
+        nothing overflows at any s; DomainError at phi = 0 when s < 0.
         """
         ff = np.atleast_1d(np.asarray(phi, dtype=float))
-        if np.any(np.abs(ff) > np.pi):
-            raise DomainError("phi must lie in [-pi, pi]")
-        s = self.param.s
-        if s < 0 and np.any(ff == 0.0):
-            raise DomainError(f"weight singular at z = -1 for s={s}")
-        # c_s = Gamma(s+1)^2 / Gamma(2s+1), in logs with the 4^s folded in
-        root_c = math.exp(math.lgamma(s + 1.0) - 0.5 * math.lgamma(2.0 * s + 1.0)
-                          + s * math.log(2.0))
+        root, e = _root_weight(self.param.s, ff)
         P = self.eval_all(-np.exp(1j * ff))
         # scaled in place: a fresh (points, degrees) product costs page faults
-        P *= (np.abs(np.sin(0.5 * ff)) ** s * root_c)[:, None]
+        P *= root[:, None]
+        if np.any(e):
+            flat = P.view(float)
+            np.ldexp(flat, e[:, None], out=flat)
         return P
+
+    def diag_weighted(self, phi, factor=1.0) -> np.ndarray:
+        """The weighted diagonal sum_k |factor sqrt(lambda) p_k|^2 at
+        z = -e^{i phi}, over all degree_count degrees: the row sums of
+        |factor eval_weighted(phi)|^2, in O(points) memory.
+
+        One Szego pass adds each weighted |p_k|^2 to a per-point sum.  The
+        weight enters every term before it is squared, never the sum:
+        sum |p_k|^2 alone overflows near phi = 0 at s = 300, n = 1000.
+        """
+        ff = np.atleast_1d(np.asarray(phi, dtype=float))
+        root, e = _root_weight(self.param.s, ff)
+        acc = _szego_sq_sum(self.alpha, -np.exp(1j * ff), root * factor)
+        return np.ldexp(acc, 2 * e)
+
+
+def _root_weight(s: float, phi: np.ndarray):
+    """sqrt(lambda(phi)) = root 2^e, lambda = c_s |2 sin(phi/2)|^(2s), phi in
+    [-pi, pi] the signed angle from the singular point -1: returns (root, e).
+
+    root is formed from phi itself, as sqrt(c_s 4^s) |sin(phi/2)|^s: c_s 4^s
+    ~ sqrt(pi s) and the power is at most 1, so neither overflows at any s;
+    e = 0.  Where that root falls below the normal range (from s ~ 100) it
+    has lost digits: it is formed in logs instead, with half its binary
+    exponent moved into e, so root p_k and its square stay in range.
+    Raises DomainError at phi = 0 when s < 0, where the weight blows up
+    (integrably).
+    """
+    if np.any(np.abs(phi) > np.pi):
+        raise DomainError("phi must lie in [-pi, pi]")
+    if s < 0 and np.any(phi == 0.0):
+        raise DomainError(f"weight singular at z = -1 for s={s}")
+    # c_s = Gamma(s+1)^2 / Gamma(2s+1), in logs with the 4^s folded in
+    root_c = math.exp(math.lgamma(s + 1.0) - 0.5 * math.lgamma(2.0 * s + 1.0)
+                      + s * math.log(2.0))
+    sin_half = np.abs(np.sin(0.5 * phi))
+    root = sin_half ** s * root_c
+    e = np.zeros(root.shape, dtype=int)
+    low = (root < np.finfo(float).tiny) & (sin_half > 0.0)
+    if np.any(low):
+        log2 = s * np.log2(sin_half[low]) + math.log2(root_c)
+        e[low] = np.floor(0.5 * log2)
+        root[low] = np.exp2(log2 - e[low])
+    return root, e
 
 
 def _szego(alpha: np.ndarray, z: np.ndarray):
@@ -155,6 +191,33 @@ def _szego(alpha: np.ndarray, z: np.ndarray):
         P[:, k + 1] = (zp - a * star) / r
         star = (star - a * zp) / r
     return P, star
+
+
+_SQ_BLOCK = 16  # degrees whose terms _szego_sq_sum holds before summing
+
+
+def _szego_sq_sum(alpha: np.ndarray, z: np.ndarray, scale) -> np.ndarray:
+    """sum_{k <= len(alpha)} |scale p_k(z)|^2 by the arithmetic of _szego,
+    holding only p_k, p*_k and the terms of one block of _SQ_BLOCK degrees;
+    each block is summed pairwise into the total."""
+    rho = np.sqrt(1.0 - alpha * alpha)
+    terms = np.empty((z.size, _SQ_BLOCK), dtype=complex)
+    flat = terms.view(float)  # re, im interleaved: |term|^2 is two squares
+    acc = np.zeros(z.size)
+    p = star = np.ones(z.size, dtype=complex)
+    terms[:, 0] = scale
+    j = 1
+    for a, r in zip(alpha, rho):
+        if j == _SQ_BLOCK:
+            acc += np.sum(np.square(flat), axis=1)
+            j = 0
+        zp = z * p
+        p = (zp - a * star) / r
+        star = (star - a * zp) / r
+        np.multiply(p, scale, out=terms[:, j])
+        j += 1
+    acc += np.sum(np.square(flat[:, : 2 * j]), axis=1)
+    return acc
 
 
 def build_opuc(param: HPParam, n: int) -> OPUCBasis:

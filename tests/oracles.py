@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from hpkernels.quadrature import panel_nodes
+
 
 def de_nodes(n: int, t_max: float = 4.2):
     """Double-exponential (tanh-sinh) nodes/weights on (-1, 1).
@@ -67,3 +69,16 @@ def reflected_phi_n(s: float, n: int, alpha: float, beta: float) -> complex:
     core = np.sum(P[0] * np.conj(P[1])) * math.sqrt(weight[0] * weight[1]) / (2.0 * np.pi)
     phase = np.exp(-1j * (n - 1) * (alpha - beta) / (2.0 * n))
     return complex(phase * core / n)
+
+
+def piecewise_tail(diag, s: float, R: float, growth: float, panels: int) -> float:
+    """The geometric tail integral of ergodics._geometric_tail, one diag call
+    per piece of 20 panels and one for the remainder at T."""
+    total, lo = 0.0, R
+    for _ in range(panels):
+        hi = lo * growth
+        x, w = panel_nodes(lo, hi, 20)
+        total += float(np.sum(w * diag(x)))
+        lo = hi
+    tail = lo * float(diag(np.array([lo]))[0]) / (1.0 + 2.0 * s)
+    return 2.0 * (total + tail)

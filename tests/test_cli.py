@@ -78,7 +78,7 @@ class TestExitCodes:
         (["experiment", "contraction", "--sprime", "1e300"], 2),
     ])
     def test_experiment_parameter_upper_bounds(self, capsys, argv, code):
-        # past eps = 1000 the variance windows outgrow memory; sprime shares
+        # eps is capped at 1000 (cli._EPS_MAX); sprime shares
         # the range of s, below 512; at sprime = 511 the proxy's mass has
         # left the damped grid, so the check fails
         assert main(argv) == code

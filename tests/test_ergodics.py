@@ -20,7 +20,7 @@ from hpkernels.ergodics import (
     variance_bound_check,
 )
 from hpkernels.errors import DomainError
-from hpkernels.kernels import LimitKernel, build_finite_kernel, eval_limit_kernel
+from hpkernels.kernels import LimitKernel, _limit_diag, build_finite_kernel, eval_limit_kernel
 from hpkernels.quadrature import graded_nodes, panel_nodes
 from hpkernels.sampling import (
     SamplerConfig,
@@ -28,7 +28,7 @@ from hpkernels.sampling import (
     sample_projection_dpp_batch,
 )
 from hpkernels.weights_opuc import HPParam, build_opuc
-from oracles import cd_sum_circle
+from oracles import cd_sum_circle, piecewise_tail
 
 
 class TestTent:
@@ -139,7 +139,10 @@ class TestSecondMoment:
             t, w = ergodics._half_window_nodes(2.0 * math.atan(N * eps), N)
             vals = np.array([cd_sum_circle(basis, N, ti, ti).real for ti in t])
             ref = 2.0 * float(np.sum(w * np.tan(t / 2.0) ** 2 * vals / (2.0 * math.pi)))
-            assert circle_moment_JN(HPParam(s), N, eps) == ref / (N * N)
+            # the oracle's own arithmetic differs from rho1_theta by up to
+            # 1.6e-15 per node
+            assert circle_moment_JN(HPParam(s), N, eps) == pytest.approx(
+                ref / (N * N), rel=1e-14)
 
     def test_uniform_ratio_window(self):
         # sup_N of value/eps: stable within 3x once N*eps is order one
@@ -206,6 +209,19 @@ class TestTailMass:
         tail = lo * eval_limit_kernel(lk, lo, lo) / (1.0 + 2.0 * s)
         assert limit_tail_mass(HPParam(s), 5.0) == 2.0 * (total + tail)
 
+    @pytest.mark.parametrize("s", [-0.3, 0.0, 1.3])
+    @pytest.mark.parametrize("growth", [1.7, 2.0])
+    @pytest.mark.parametrize("panels", [0, 1, 14])
+    def test_one_pass_tail_sums_as_the_piece_loop(self, s, growth, panels):
+        # one diagonal call on all nodes, summed piece by piece in the
+        # loop's order: the limit tail keeps every bit
+        got = limit_tail_mass(HPParam(s), 3.0, growth, panels)
+        ref = piecewise_tail(lambda x: _limit_diag(s, x), s, 3.0, growth, panels)
+        assert got.hex() == ref.hex()
+        k = build_finite_kernel(HPParam(s), 20)
+        assert tail_mass(HPParam(s), 20, 3.0, growth, panels) == pytest.approx(
+            piecewise_tail(k.rho1, s, 3.0, growth, panels), rel=1e-15)
+
     def test_bad_R(self):
         with pytest.raises(DomainError):
             tail_mass(HPParam(0.0), 5, -1.0)
@@ -220,19 +236,49 @@ class TestVarianceBound:
         T, bound = variance_bound_check(HPParam(0.0), 6, 0.3)
         assert 0.0 <= T <= bound
 
-    @pytest.mark.parametrize("N", [6, 64])
-    def test_window_rule_converged(self, N, monkeypatch):
-        # the same identity on a rule with 4x the panels per dyadic piece
-        s, eps = HPParam(0.5), 0.3
-        T, bound = variance_bound_check(s, N, eps)
+    @staticmethod
+    def _assert_bisection_converged(s, N, eps, monkeypatch):
+        # the same identity with every theta panel bisected
+        T, bound = variance_bound_check(HPParam(s), N, eps)
+        edges = ergodics._window_edges
+        e = edges(eps, N)
+        assert e[0] == 0.0 and np.all(np.diff(e) > 0.0)
+        assert np.all(np.diff(e) <= math.pi - e[1:])  # no panel reaches pi
 
-        def refined(eps, N, levels=12, order=20):
-            return graded_nodes(eps, levels, order, density=2.0 * N)
+        def bisected(eps, N):
+            e = edges(eps, N)
+            return np.sort(np.concatenate((e, 0.5 * (e[1:] + e[:-1]))))
 
-        monkeypatch.setattr(ergodics, "_half_window_nodes", refined)
-        T_ref, bound_ref = variance_bound_check(s, N, eps)
+        monkeypatch.setattr(ergodics, "_window_edges", bisected)
+        T_ref, bound_ref = variance_bound_check(HPParam(s), N, eps)
         assert abs(T - T_ref) <= 1e-12 * abs(T_ref)
         assert abs(bound - bound_ref) <= 1e-12 * abs(bound_ref)
+
+    @pytest.mark.parametrize("N", [6, 64])
+    def test_window_rule_converged(self, N, monkeypatch):
+        self._assert_bisection_converged(0.5, N, 0.3, monkeypatch)
+
+    def test_window_rule_converged_next_to_pi(self, monkeypatch):
+        # the window ends 0.21 short of theta = pi, where the integrand is
+        # singular: only the bisected top panels hold 1e-12
+        self._assert_bisection_converged(-0.3, 12, 0.8, monkeypatch)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_large_N_matches_dense_x_rule(self, s):
+        # near x = 0 the points are pi/N^2 apart: the x-rule graded to
+        # 2^-30 eps at 16 panels per 1/N resolves the cross term, where the
+        # former rule (10 levels, 1 panel per 2/N) read T 26% low at N = 256
+        N, eps = 256, 1.0 / 16.0
+        k = build_finite_kernel(HPParam(s), N)
+        xh, wh = graded_nodes(eps, 30, 20, density=8.0 * N)
+        x = np.concatenate([-xh[::-1], xh])
+        w = np.concatenate([wh[::-1], wh])
+        F = k.feature_matrix(x)
+        diag = float(np.sum(w * x * x * np.sum(np.abs(F) ** 2, axis=1)))
+        T_ref = diag - float(np.sum(np.abs(F.conj().T @ ((w * x)[:, None] * F)) ** 2))
+        T, bound = variance_bound_check(HPParam(s), N, eps)
+        assert abs(T - T_ref) <= 1e-9 * T_ref
+        assert abs(bound - 2.0 * diag) <= 1e-12 * bound
 
     @pytest.mark.parametrize("s, N, eps", [
         (0.0, 6, 0.2), (0.5, 12, 0.4), (-0.3, 12, 0.8), (1.0, 40, 0.3),
@@ -240,9 +286,7 @@ class TestVarianceBound:
     def test_gram_form_matches_dense_kernel(self, s, N, eps):
         # reference: the nodes x nodes kernel matrix, cross = (w x)^T (K*K) (w x)
         k = build_finite_kernel(HPParam(s), N)
-        xh, wh = ergodics._half_window_nodes(eps, N, levels=10, order=16)
-        x = np.concatenate([-xh[::-1], xh])
-        w = np.concatenate([wh[::-1], wh])
+        x, w = ergodics._window_nodes(eps, N)
         diag = float(np.sum(w * x * x * k.rho1(x)))
         K = k.kernel_matrix(x, x)
         T_ref = diag - float((w * x) @ (K * K) @ (w * x))

@@ -181,6 +181,87 @@ class TestFiniteKernel:
             build_finite_kernel(HPParam(0.5), 3, "other")
 
 
+class TestDiagonalRoute:
+    """rho1 and rho1_theta on the circle route sum |p_k|^2 inside the Szego
+    pass; the reference is the row sums of the feature rows."""
+
+    @pytest.mark.parametrize("s", [-0.45, -0.3, 0.0, 0.5, 7.0, 300.0])
+    @pytest.mark.parametrize("N", [1, 2, 64, 1000])
+    def test_rho1_matches_feature_rows(self, s, N):
+        k = build_finite_kernel(HPParam(s), N)
+        x = np.geomspace(1e-6, 1e30, 72)
+        x = np.concatenate([x, -x])
+        got = k.rho1(x)
+        ref = np.sum(np.abs(k.feature_matrix(x)) ** 2, axis=1)
+        # at s = 300 the weight underflows far out: both read exactly 0
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("s", [-0.45, -0.3, 0.0, 0.5, 7.0, 300.0])
+    @pytest.mark.parametrize("N", [1, 2, 64, 1000])
+    def test_rho1_theta_matches_weighted_rows(self, s, N):
+        k = build_finite_kernel(HPParam(s), N)
+        th = np.concatenate([np.geomspace(1e-6, np.pi - 1e-6, 36),
+                             np.pi + np.geomspace(1e-6, np.pi - 1e-6, 36)])
+        th = np.concatenate([th, -th])
+        got = k.rho1_theta(th)
+        P = k.opuc.eval_weighted(th - np.copysign(np.pi, th))
+        ref = np.sum(np.abs(P) ** 2, axis=1)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_weight_below_normal_range_keeps_digits(self):
+        # at s = 300 the weight root falls below 1e-308 from x ~ 0.0112
+        # (N = 1000) while rho_1 is still representable: reference, the
+        # Szego recursion and the weight at 30 digits
+        s, N = 300.0, 1000
+        x = [0.005, 0.01116, 0.01187, 0.0183]
+        ref = []
+        with mpmath.workdps(30):
+            ms = mpmath.mpf(s)
+            c_s = mpmath.gamma(ms + 1) ** 2 / mpmath.gamma(2 * ms + 1)
+            for xi in x:
+                t = N * mpmath.mpf(xi)
+                phi = -2 * mpmath.atan(1 / t)
+                z = -mpmath.expj(phi)
+                p = star = mpmath.mpc(1)
+                acc = mpmath.mpf(1)
+                for k in range(N - 1):
+                    a = (-1) ** k * ms / (k + ms + 1)
+                    r = mpmath.sqrt(1 - a * a)
+                    zp = z * p
+                    p, star = (zp - a * star) / r, (star - a * zp) / r
+                    acc += abs(p) ** 2
+                lam = c_s * abs(2 * mpmath.sin(phi / 2)) ** (2 * ms)
+                ref.append(float(lam * acc * N / mpmath.pi / (1 + t * t)))
+        got = build_finite_kernel(HPParam(s), N).rho1(x)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.array(ref))
+
+    def test_domain_errors_unchanged(self):
+        k = build_finite_kernel(HPParam(-0.3), 4)
+        with pytest.raises(DomainError, match="R\\*"):
+            k.rho1([1.0, 0.0])
+        with pytest.raises(DomainError, match="lie in"):
+            k.rho1_theta([2.0 * np.pi + 0.1])
+        with pytest.raises(DomainError, match="singular"):
+            k.rho1_theta([np.pi])  # phi = 0, the singular point, at s < 0
+        assert np.isfinite(build_finite_kernel(HPParam(0.3), 4).rho1_theta([np.pi])).all()
+        with pytest.raises(DomainError, match="circle route"):
+            build_finite_kernel(HPParam(0.3), 4, "line_direct").rho1_theta([1.0])
+
+    def test_memory_is_per_point(self):
+        # the (4481, 4000) complex feature matrix would take 287 MB
+        import tracemalloc
+
+        k = build_finite_kernel(HPParam(0.7), 4000)
+        x = np.geomspace(3.0, 3.0 * 2.0**14, 4481)
+        tracemalloc.start()
+        try:
+            k.rho1(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+
 class TestDensityTransport:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_joint_density_ratio_constant(self, s):

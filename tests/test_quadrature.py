@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpkernels.quadrature import gauss_panels, panel_nodes
+from hpkernels.quadrature import _legendre_rule, gauss_panels, panel_nodes
 
 
 @pytest.mark.parametrize("a, b, n_panels, n_nodes", [
@@ -31,3 +31,15 @@ def test_uneven_panels_integrate_polynomials_exactly():
     x, w = gauss_panels(edges, 4)
     assert len(x) == 16
     assert float(np.sum(w * x**7)) == pytest.approx((2.0**8 - 0.05**8) / 8.0, rel=1e-14)
+
+
+def test_legendre_rule_is_cached_read_only():
+    # one rule per order, shared by every caller: no caller may write it
+    x, w = _legendre_rule(20)
+    assert _legendre_rule(20)[0] is x
+    ref_x, ref_w = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
