@@ -130,12 +130,12 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
     return 2.0 * float(np.sum(w * integrand)) / (N * N)
 
 
-_TAIL_ORDER = 16  # Gauss nodes per tail panel
+_PIECE_PANELS = 20  # equal Gauss panels per geometric tail piece
 
 
 def _geometric_tail(diag, s: float, R: float, growth: float, panels: int) -> float:
     """Integral of the even diagonal diag over |x| >= R: geometric pieces
-    [R growth^j, R growth^(j+1)] of 20 equal panels each, out to
+    [R growth^j, R growth^(j+1)] of _PIECE_PANELS equal panels each, out to
     T = R growth^panels, then the power-law remainder T diag(T) / (1 + 2s)
     matching the x^(-2-2s) decay.  diag is called once, on every node and
     T; the pieces are summed one by one, in order."""
@@ -143,11 +143,11 @@ def _geometric_tail(diag, s: float, R: float, growth: float, panels: int) -> flo
     for _ in range(panels):
         bounds.append(bounds[-1] * growth)
     T = bounds[-1]
-    edges = [np.linspace(lo, hi, 21)[:-1] for lo, hi in zip(bounds, bounds[1:])]
-    x, w = gauss_panels(np.concatenate([*edges, [T]]), _TAIL_ORDER)
+    edges = [np.linspace(lo, hi, _PIECE_PANELS + 1)[:-1] for lo, hi in zip(bounds, bounds[1:])]
+    x, w = gauss_panels(np.concatenate([*edges, [T]]))
     vals = diag(np.append(x, T))
     total = 0.0
-    for piece in (w * vals[:-1]).reshape(panels, 20 * _TAIL_ORDER):
+    for piece in np.split(w * vals[:-1], panels or 1):  # panels = 0: one empty piece
         total += float(np.sum(piece))
     tail = T * float(vals[-1]) / (1.0 + 2.0 * s)
     return 2.0 * (total + tail)
