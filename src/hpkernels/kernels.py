@@ -194,20 +194,26 @@ class LimitKernel:
             raise DomainError("limit kernel requires s > -1/2")
 
 
-def _limit_ab(s: float, z: np.ndarray):
+def _limit_ab(s: float, z: np.ndarray, jv=None):
     """(J_{s-1/2}(z), J_{s+1/2}(z)) with J_{s+1/2} evaluated once; below
     order -1/2, J_{s-1/2}(z) = ((2s+1)/z) J_{s+1/2}(z) - J_{s+3/2}(z)
-    (DLMF 10.6.1) takes J_{s-1/2} one step down from it."""
+    (DLMF 10.6.1) takes J_{s-1/2} one step down from it.  jv(nu, z) stands
+    in for bessel_j when given."""
+    jv = jv or bessel_j
     nu = s - 0.5
-    b = bessel_j(s + 0.5, z)
+    b = jv(s + 0.5, z)
     if nu >= -0.5:
-        return bessel_j(nu, z), b
-    return (2.0 * s + 1.0) / z * b - bessel_j(s + 1.5, z), b
+        return jv(nu, z), b
+    return (2.0 * s + 1.0) / z * b - jv(s + 1.5, z), b
 
 
 def _limit_FG(s: float, x: np.ndarray):
+    return _FG_ab(x, *_limit_ab(s, 1.0 / np.abs(x)))
+
+
+def _FG_ab(x: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """F, G at x from a = J_{s-1/2}(1/|x|) and b = J_{s+1/2}(1/|x|)."""
     ax = np.abs(x)
-    a, b = _limit_ab(s, 1.0 / ax)
     return a / (2.0 * np.sqrt(ax)), np.sign(x) * b / np.sqrt(ax)
 
 
@@ -220,8 +226,27 @@ def _limit_diag(s: float, x: np.ndarray) -> np.ndarray:
     at s = 0 it is 1/(pi x^2).
     """
     z = 1.0 / np.abs(x)
-    a, b = _limit_ab(s, z)
+    return _diag_ab(s, z, *_limit_ab(s, z))
+
+
+def _diag_ab(s: float, z, a, b):
+    """The closed-form diagonal of _limit_diag from z, a and b."""
     return z * z * (0.5 * z * (a * a + b * b) - s * a * b)
+
+
+def _near(x: float, y: float) -> bool:
+    """Whether limit_kernel_matrix takes the (x, y) entry as the diagonal at
+    the midpoint."""
+    return abs(x - y) < LimitKernel.h_diag * max(abs(x), abs(y))
+
+
+def _entry(s: float, x: float, y: float, FGxy) -> float:
+    """K(x, y) from F, G at [x, y], formed as limit_kernel_matrix forms its
+    entry: the closed-form diagonal at the midpoint where _near holds."""
+    if _near(x, y):
+        return float(_limit_diag(s, np.array([0.5 * (x + y)]))[0])
+    (Fx, Fy), (Gx, Gy) = FGxy
+    return float((Fx * Gy - Fy * Gx) / (x - y))
 
 
 def eval_limit_kernel(k: LimitKernel, x: float, y: float) -> float:
@@ -378,14 +403,30 @@ def _graded_edges(a: float, b: float, grade: float) -> np.ndarray:
 def _pm_products(x: float, y: float, FGxy, a: np.ndarray, F, G):
     """K(x,g) K(g,y) at g = +a and at g = -a, from F, G evaluated once at
     a > 0 by parity: F(-g) = F(g), G(-g) = -G(g); FGxy holds F, G at
-    [x, y].  Nodes within 1e-9 of x or y add exactly 0."""
+    [x, y].  The products Fx G, F Gx, F Gy and Fy G serve both signs, as
+    Fx (-G) = -(Fx G) bit for bit.  Nodes within 1e-9 of x or y add
+    exactly 0; that mask is built only for a sign whose nodes come within
+    1e-8 of x or y (the wider margin leaves no case to rounding)."""
     (Fx, Fy), (Gx, Gy) = FGxy
+    lo, hi = a.min() - 1e-8, a.max() + 1e-8
     out = []
-    for g, Gg in ((a, G), (-a, -G)):
-        keep = (np.abs(g - x) > 1e-9) & (np.abs(g - y) > 1e-9)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (Fx * Gg - F * Gx) / (x - g) * ((F * Gy - Fy * Gg) / (g - y))
-        out.append(np.where(keep, vals, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # two products at a time: at most six node-sized arrays are live
+        p, q = Fx * G, F * Gx
+        lefts = p - q, -p - q
+        p, q = F * Gy, Fy * G
+        rights = p - q, p + q
+        del p, q
+        for sgn, vals, right in zip((1.0, -1.0), lefts, rights):
+            g = sgn * a
+            # in place: each array serves one sign only
+            vals /= x - g
+            right /= g - y
+            vals *= right
+            if lo <= sgn * x <= hi or lo <= sgn * y <= hi:
+                keep = (np.abs(g - x) > 1e-9) & (np.abs(g - y) > 1e-9)
+                vals = np.where(keep, vals, 0.0)
+            out.append(vals)
     return out
 
 
@@ -426,7 +467,9 @@ def check_projection(
     F and G are evaluated once per node |g| and shared by g = +|g| and
     g = -|g| through their parity.  The inner region |g| < delta does not
     depend on (x, y): its nodes, weights and F, G are held per (s, plan),
-    about 1.6 MB at the default plan, at most 4 entries.
+    about 1.6 MB at the default plan, at most 4 entries.  F and G at x and
+    y are evaluated once and serve the products, the target K(x, y) and
+    both pieces of the bound.
     """
     s = k.param.s
     if s < _PROJECTION_S_MIN:
@@ -446,48 +489,68 @@ def check_projection(
         total += float(np.sum(g_w * vals))
     if not math.isfinite(total):
         raise QuadFailure("projection quadrature produced non-finite value")
-    target = eval_limit_kernel(k, x, y)
+    target = _entry(s, x, y, FGxy)
     residual = abs(total - target)
 
-    def tail_l2(pt: float) -> float:
+    def tail_l2(Fp, Gp, pt: float) -> float:
         # int_{|g|>R} K(pt,g)^2 dg <= closed bound from the small-argument
         # Bessel envelopes at |g| >= R
         R = R_trunc
         e = math.exp(1.0 / (4.0 * R * R))
         cF = 2.0 ** (-s - 0.5) * e / abs(gamma_fn(s + 0.5))
         cG = 2.0 ** (-s - 0.5) * e / gamma_fn(s + 1.5)
-        Fp, Gp = _limit_FG(s, np.array([pt]))
-        amp = cF * abs(Gp[0]) + cG * abs(Fp[0]) / R
+        amp = cF * abs(Gp) + cG * abs(Fp) / R
         geom = (1.0 - abs(pt) / R) ** (-2.0)
         return 2.0 * geom * amp * amp * R ** (-2.0 * s - 1.0) / (2.0 * s + 1.0)
 
     # unresolved inner window |g| < 1/t_max: large-argument envelope
     # |J_nu(z)| <= 1.1 sqrt(2/(pi z)) for z >= 20 makes the product bounded
-    def near_zero_amp(pt: float) -> float:
-        Fp, Gp = _limit_FG(s, np.array([pt]))
-        return (0.88 * abs(Fp[0]) + 0.44 * abs(Gp[0])) / (abs(pt) - 1.0 / q.t_max)
+    def near_zero_amp(Fp, Gp, pt: float) -> float:
+        return (0.88 * abs(Fp) + 0.44 * abs(Gp)) / (abs(pt) - 1.0 / q.t_max)
 
-    inner = 2.0 / q.t_max * near_zero_amp(x) * near_zero_amp(y)
-    bound = math.sqrt(tail_l2(x) * tail_l2(y)) + inner
+    (Fx, Fy), (Gx, Gy) = FGxy
+    inner = 2.0 / q.t_max * near_zero_amp(Fx, Gx, x) * near_zero_amp(Fy, Gy, y)
+    bound = math.sqrt(tail_l2(Fx, Gx, x) * tail_l2(Fy, Gy, y)) + inner
     return residual, bound
 
 
 def check_limit_recurrence(s: float, x: float, y: float) -> float:
     """Residual of the parameter-shift identity
     K^(s)(x,y) = sgn(x)sgn(y) [K^(s+1)(x,y) +
-                 (s+1/2)/sqrt|xy| J_{s+1/2}(1/|x|) J_{s+1/2}(1/|y|)]."""
+                 (s+1/2)/sqrt|xy| J_{s+1/2}(1/|x|) J_{s+1/2}(1/|y|)].
+
+    z = 1/|[x, y]| is formed once (with the midpoint appended where the
+    entries are the diagonal there), and bessel_j is called once per
+    distinct order on it: K^(s), K^(s+1) and the rank-one term all read
+    those values, which equal what eval_limit_kernel and scalar bessel_j
+    calls give, so the residual does too, bit for bit.
+    """
     if s <= -0.5:
         raise DomainError("requires s > -1/2")
     if x == 0.0 or y == 0.0:
         raise DomainError("defined on R*")
-    k_s = LimitKernel(HPParam(s))
-    k_s1 = LimitKernel(HPParam(s + 1.0))
-    lhs = eval_limit_kernel(k_s, x, y)
+    near = _near(x, y)
+    pts = np.array([x, y, 0.5 * (x + y)] if near else [x, y])
+    z = 1.0 / np.abs(pts)
+    J = {}
+
+    def jv(nu, _z):
+        # the orders are keyed as floats: (s+1) - 1/2 need not equal s + 1/2
+        if nu not in J:
+            J[nu] = bessel_j(nu, z)
+        return J[nu]
+
+    def kernel(t: float) -> float:
+        a, b = _limit_ab(t, z, jv)
+        if near:
+            return float(_diag_ab(t, z[2], a[2], b[2]))
+        return _entry(t, x, y, _FG_ab(pts, a, b))
+
+    lhs = kernel(s)
     sg = math.copysign(1.0, x) * math.copysign(1.0, y)
-    jx = bessel_j(s + 0.5, 1.0 / abs(x))
-    jy = bessel_j(s + 0.5, 1.0 / abs(y))
+    jx, jy = (float(v) for v in J[s + 0.5][:2])
     rank1 = (s + 0.5) / math.sqrt(abs(x * y)) * jx * jy
-    rhs = sg * (eval_limit_kernel(k_s1, x, y) + rank1)
+    rhs = sg * (kernel(s + 1.0) + rank1)
     return abs(lhs - rhs)
 
 

@@ -41,20 +41,29 @@ def gamma_fn(z: float) -> float:
     return val
 
 
+def _jv(nu, x):
+    """scipy.special.jv, imported on the first call (see the module
+    docstring); the import rebinds this name, so later calls go straight to
+    scipy."""
+    global _jv
+    from scipy.special import jv as _jv
+
+    return _jv(nu, x)
+
+
 def bessel_j(nu: float, x):
     """Bessel function of the first kind, order nu >= -1/2, argument x > 0.
 
-    Accepts scalar or array x; returns matching shape.
+    Accepts scalar or array x; returns matching shape.  NaN is refused like
+    x <= 0.
     """
     if nu < -0.5:
         raise DomainError(f"bessel_j requires nu >= -1/2, got {nu}")
     xx = np.asarray(x, dtype=float)
-    if xx.size and np.min(xx) <= 0.0:
+    if xx.size and not xx.min() > 0.0:
         raise DomainError("bessel_j requires x > 0")
-    from scipy.special import jv
-
-    out = jv(nu, xx)
-    if np.ndim(x) == 0:
+    out = _jv(nu, xx)
+    if xx.ndim == 0:
         return float(out)
     return out
 

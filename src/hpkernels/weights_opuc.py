@@ -255,6 +255,10 @@ def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> 
 # Monic line basis
 
 
+_LN2 = math.log(2.0)
+_LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
+
+
 @dataclass(frozen=True)
 class MonicLineBasis:
     """Monic orthogonal polynomials for the line weight (1+x^2)^(-s-N).
@@ -289,6 +293,9 @@ class MonicLineBasis:
         rescaled by a power of two at every step; the remaining weight power
         (1+t^2)^((k-s-N)/2) enters per degree.  Nothing overflows or
         underflows before the final product, even for t = N x at N ~ 1000.
+        Where a half_log passes -ln(tiny), the weight power itself can fall
+        below the normal range: on those rows it is taken as
+        2^q exp((k - a) half_log - q ln 2) and q joins the final exponent.
         """
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         a = self.param.s + self.N
@@ -300,12 +307,20 @@ class MonicLineBasis:
         prev = np.zeros_like(tt)
         cur = np.full_like(tt, 1.0 / math.sqrt(self.sq_norms[0]))
         expo = np.zeros(tt.shape, dtype=int)
-        out[:, 0] = cur * np.exp(-a * half_log)
-        for k in range(1, self.degree_count):
-            prev, cur = cur, (u * cur - rb[k - 1] * c2 * prev) / rb[k]
-            _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
-            prev, cur, expo = np.ldexp(prev, -e), np.ldexp(cur, -e), expo + e
-            out[:, k] = np.ldexp(cur * np.exp((k - a) * half_log), expo)
+        deep = np.flatnonzero(a * half_log > -_LN_TINY)
+        for k in range(self.degree_count):
+            if k:
+                prev, cur = cur, (u * cur - rb[k - 1] * c2 * prev) / rb[k]
+                _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+                prev, cur, expo = np.ldexp(prev, -e), np.ldexp(cur, -e), expo + e
+            w = (k - a) * half_log
+            power, shift = np.exp(w), expo
+            if deep.size:
+                q = np.floor(w[deep] / _LN2)
+                power[deep] = np.exp(w[deep] - q * _LN2)
+                shift = expo.copy()
+                shift[deep] += q.astype(int)
+            out[:, k] = np.ldexp(cur * power, shift)
         return out
 
 

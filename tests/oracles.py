@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 
+from hpkernels.kernels import LimitKernel, eval_limit_kernel
 from hpkernels.quadrature import panel_nodes
+from hpkernels.specfun import bessel_j
+from hpkernels.weights_opuc import HPParam
 
 
 def de_nodes(n: int, t_max: float = 4.2):
@@ -82,3 +85,16 @@ def piecewise_tail(diag, s: float, R: float, growth: float, panels: int) -> floa
         lo = hi
     tail = lo * float(diag(np.array([lo]))[0]) / (1.0 + 2.0 * s)
     return 2.0 * (total + tail)
+
+
+def limit_recurrence_composed(s: float, x: float, y: float) -> float:
+    """The residual of kernels.check_limit_recurrence composed from the
+    public pieces: K^(s) and K^(s+1) by eval_limit_kernel, and the rank-one
+    term from two scalar bessel_j calls."""
+    lhs = eval_limit_kernel(LimitKernel(HPParam(s)), x, y)
+    sg = math.copysign(1.0, x) * math.copysign(1.0, y)
+    jx = bessel_j(s + 0.5, 1.0 / abs(x))
+    jy = bessel_j(s + 0.5, 1.0 / abs(y))
+    rank1 = (s + 0.5) / math.sqrt(abs(x * y)) * jx * jy
+    rhs = sg * (eval_limit_kernel(LimitKernel(HPParam(s + 1.0)), x, y) + rank1)
+    return abs(lhs - rhs)

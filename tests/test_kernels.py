@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpkernels.errors import DomainError
+from hpkernels import kernels as kernels_mod
 from hpkernels import weights_opuc as wo
 from hpkernels.kernels import (
     FiniteKernel,
@@ -38,7 +39,7 @@ from hpkernels.kernels import (
     v_norm_sq_closed,
     v_norm_sq_quadrature,
 )
-from oracles import de_nodes, reflected_phi_n
+from oracles import de_nodes, limit_recurrence_composed, reflected_phi_n
 from hpkernels.weights_opuc import HPParam, eval_line_weight
 
 # frozen references (40-digit offline generator)
@@ -234,6 +235,44 @@ class TestDiagonalRoute:
                 ref.append(float(lam * acc * N / mpmath.pi / (1 + t * t)))
         got = build_finite_kernel(HPParam(s), N).rho1(x)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.array(ref))
+
+    def test_line_route_below_normal_weight(self):
+        # at s = 300, N = 1000 the line route's weight power (1+t^2)^((k-a)/2)
+        # leaves the normal range from x ~ 0.0108 while rho_1 does not:
+        # reference, the monic recurrence and the weight at 40 digits
+        s, N = 300.0, 1000
+        x = [0.0105, 0.01112, 0.0128, 0.0183]
+        ref = []
+        with mpmath.workdps(40):
+            a = mpmath.mpf(s) + N
+            for xi in x:
+                t = N * mpmath.mpf(xi)
+                h = mpmath.sqrt(mpmath.pi) * mpmath.gamma(a - 0.5) / mpmath.gamma(a)
+                prev, p = mpmath.mpf(0), mpmath.mpf(1)
+                acc = 1 / h
+                for k in range(1, N):
+                    b = [(j * (2 * a - j)) / ((2 * a - 2 * j - 1) * (2 * a - 2 * j + 1))
+                         for j in (k - 1, k)]
+                    prev, p = p, t * p - b[0] * prev
+                    h *= b[1]
+                    acc += p * p / h
+                ref.append(float(N * acc * (1 + t * t) ** (-a)))
+        ref = np.array(ref)
+        assert np.all(ref > np.finfo(float).tiny)
+        got = build_finite_kernel(HPParam(s), N, "line_direct").rho1(x)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_routes_agree_where_line_weight_is_deep(self):
+        # wherever rho_1 is normal the routes agree; each keeps a few 1e-13
+        # of its own against the references above, so 2e-12 between them
+        s, N = 300.0, 1000
+        x = np.geomspace(1e-4, 1.0, 400)
+        x = np.concatenate([x, -x])
+        a = build_finite_kernel(HPParam(s), N).rho1(x)
+        b = build_finite_kernel(HPParam(s), N, "line_direct").rho1(x)
+        normal = a > np.finfo(float).tiny
+        assert normal.sum() > 400
+        assert np.all(np.abs(a - b)[normal] <= 2e-12 * a[normal])
 
     def test_domain_errors_unchanged(self):
         k = build_finite_kernel(HPParam(-0.3), 4)
@@ -608,6 +647,18 @@ class TestProjection:
             want = limit_kernel_matrix(k, [x], g)[0] * limit_kernel_matrix(k, g, [y])[:, 0]
             assert np.array_equal(got, want)
 
+    def test_parity_without_mask_matches_direct_products(self):
+        # a node range holding neither +-x nor +-y takes the maskless branch
+        s, x, y = 0.25, 1.3, -0.6
+        k = LimitKernel(HPParam(s))
+        FGxy = _limit_FG(s, np.array([x, y]))
+        for a in (np.linspace(0.07, 0.5, 23), np.linspace(1.5, 9.0, 23)):
+            plus, minus = _pm_products(x, y, FGxy, a, *_limit_FG(s, a))
+            for sgn, got in ((1.0, plus), (-1.0, minus)):
+                g = sgn * a
+                want = limit_kernel_matrix(k, [x], g)[0] * limit_kernel_matrix(k, g, [y])[:, 0]
+                assert np.array_equal(got, want)
+
     def test_node_at_x_adds_zero_without_warning(self):
         s, x, y = 0.5, 0.4, 2.0
         a = np.array([0.3, x, 1.1])
@@ -666,6 +717,34 @@ class TestRecurrences:
         assert check_limit_recurrence(0.5, -1.1, 0.8) < 1e-10
         assert check_limit_recurrence(0.25, 2.0, 2.0) < 1e-8
         assert check_limit_recurrence(0.25, 1.0, 1.0 + 1e-7) < 1e-8
+
+    @pytest.mark.parametrize("s", [-0.45, -0.3, 0.0, 0.25, 0.8, 1.3])
+    def test_limit_equals_composed_residual(self, s):
+        # bit for bit the residual of two eval_limit_kernel calls and two
+        # scalar bessel_j calls: mixed signs, x = y, and pairs inside the
+        # midpoint switch
+        rng = np.random.default_rng(2001)
+        pts = rng.uniform(0.05, 4.0, 12) * rng.choice([-1.0, 1.0], 12)
+        pairs = [(float(x), float(y)) for x in pts for y in pts[:4]]
+        pairs += [(float(x), float(x) * (1.0 + 1e-7)) for x in pts]
+        pairs += [(float(x), -float(x)) for x in pts[:4]]
+        for x, y in pairs:
+            assert check_limit_recurrence(s, x, y) == limit_recurrence_composed(s, x, y)
+
+    @pytest.mark.parametrize("s", [-0.45, -0.3, 0.0, 0.5, 1.3])
+    @pytest.mark.parametrize("x,y", [(0.7, -1.9), (1.1, 1.1), (2.0, 2.0 * (1.0 + 1e-7))])
+    def test_limit_bessel_calls_per_check(self, monkeypatch, s, x, y):
+        # one bessel_j call per distinct order on the points, at most 4
+        calls = []
+        real = kernels_mod.bessel_j
+
+        def counted(nu, z):
+            calls.append(np.size(z))
+            return real(nu, z)
+        monkeypatch.setattr(kernels_mod, "bessel_j", counted)
+        check_limit_recurrence(s, x, y)
+        assert 1 <= len(calls) <= 4
+        assert set(calls) == {2 if x != y and abs(x - y) > 1e-5 * abs(x) else 3}
 
     def test_finite_examples(self):
         assert check_finite_recurrence(0.0, 3, 0.4, -0.9) < 1e-8

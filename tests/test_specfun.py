@@ -81,6 +81,13 @@ def test_bessel_domain_errors():
         bessel_j(0.5, -2.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], np.array([[2.0], [math.nan]])])
+def test_bessel_refuses_nan(x):
+    # NaN fails every comparison, so a guard on x <= 0 alone lets it through
+    with pytest.raises(DomainError, match="x > 0"):
+        bessel_j(0.5, x)
+
+
 def test_bessel_half_order_closed_forms():
     # small and large arguments alike, on [0.1, 50]
     xs = np.linspace(0.1, 50.0, 997)
