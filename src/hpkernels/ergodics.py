@@ -69,14 +69,14 @@ def cutoff_sums(points, ns):
 # Uniform moment estimates
 
 
-def _half_window_nodes(eps: float, N: int, levels: int = 12, order: int = 20):
-    """Nodes on (0, eps], graded dyadically toward 0; order Gauss nodes per
-    panel, each dyadic piece cut into panels of width <= 2/N.
+def _half_window_nodes(eps: float, N: int):
+    """Nodes on (0, eps], graded dyadically toward 0 over 12 levels; 20
+    Gauss nodes per panel, each dyadic piece cut into panels of width <= 2/N.
 
     For integrals of the diagonal only: rho_1 is smooth on these panels,
     but K(x, y) off the diagonal oscillates with the point spacing, pi/N^2
     in x near 0, which they do not resolve (see _window_edges)."""
-    return graded_nodes(eps, levels, order, density=0.5 * N)
+    return graded_nodes(eps, 12, 20, density=0.5 * N)
 
 
 def _window_edges(eps: float, N: int) -> np.ndarray:
@@ -109,8 +109,8 @@ def _window_nodes(eps: float, N: int):
 
 def rho1_second_moment(param: HPParam, N: int, eps: float) -> float:
     """Integral of x^2 K_N(x, x) over (-eps, eps); even integrand doubled."""
-    if eps <= 0:
-        raise DomainError("eps > 0 required")
+    if not 0 < eps < math.inf:
+        raise DomainError("0 < eps < inf required")
     k = build_finite_kernel(param, N)
     x, w = _half_window_nodes(eps, N)
     return 2.0 * float(np.sum(w * x * x * k.rho1(x)))
@@ -121,8 +121,8 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
     (1/N^2) int tan^2(theta/2) times the circle density d theta / 2 pi over
     |theta| <= 2 arctan(N eps).  Equals rho1_second_moment exactly in the
     continuum; the two quadratures agree to far better than 1e-6."""
-    if eps <= 0:
-        raise DomainError("eps > 0 required")
+    if not 0 < eps < math.inf:
+        raise DomainError("0 < eps < inf required")
     theta_eps = 2.0 * math.atan(N * eps)
     t, w = _half_window_nodes(theta_eps, N)
     vals = build_finite_kernel(param, N).rho1_theta(t)
@@ -131,17 +131,18 @@ def circle_moment_JN(param: HPParam, N: int, eps: float) -> float:
 
 
 _PIECE_PANELS = 20  # equal Gauss panels per geometric tail piece
+_TAIL_PIECES = 14  # geometric pieces of a tail integral, each twice as long as the last
 
 
-def _geometric_tail(diag, s: float, R: float, growth: float, panels: int) -> float:
+def _geometric_tail(diag, s: float, R: float, panels: int) -> float:
     """Integral of the even diagonal diag over |x| >= R: geometric pieces
-    [R growth^j, R growth^(j+1)] of _PIECE_PANELS equal panels each, out to
-    T = R growth^panels, then the power-law remainder T diag(T) / (1 + 2s)
+    [R 2^j, R 2^(j+1)] of _PIECE_PANELS equal panels each, out to
+    T = R 2^panels, then the power-law remainder T diag(T) / (1 + 2s)
     matching the x^(-2-2s) decay.  diag is called once, on every node and
     T; the pieces are summed one by one, in order."""
     bounds = [R]
     for _ in range(panels):
-        bounds.append(bounds[-1] * growth)
+        bounds.append(bounds[-1] * 2.0)
     T = bounds[-1]
     edges = [np.linspace(lo, hi, _PIECE_PANELS + 1)[:-1] for lo, hi in zip(bounds, bounds[1:])]
     x, w = gauss_panels(np.concatenate([*edges, [T]]))
@@ -153,23 +154,22 @@ def _geometric_tail(diag, s: float, R: float, growth: float, panels: int) -> flo
     return 2.0 * (total + tail)
 
 
-def tail_mass(param: HPParam, N: int, R: float, growth: float = 2.0,
-              panels: int = 14) -> float:
-    """Integral of K_N(x, x) over |x| >= R (see _geometric_tail)."""
-    if R <= 0:
-        raise DomainError("R > 0 required")
+def tail_mass(param: HPParam, N: int, R: float) -> float:
+    """Integral of K_N(x, x) over |x| >= R, R finite (see _geometric_tail,
+    with _TAIL_PIECES pieces)."""
+    if not 0 < R < math.inf:
+        raise DomainError("0 < R < inf required")
     k = build_finite_kernel(param, N)
-    return _geometric_tail(k.rho1, param.s, R, growth, panels)
+    return _geometric_tail(k.rho1, param.s, R, _TAIL_PIECES)
 
 
-def limit_tail_mass(param: HPParam, R: float, growth: float = 2.0,
-                    panels: int = 14) -> float:
-    """Same tail integral for the scaling-limit kernel diagonal."""
-    if R <= 0:
-        raise DomainError("R > 0 required")
+def limit_tail_mass(param: HPParam, R: float, panels: int = _TAIL_PIECES) -> float:
+    """Same tail integral for the scaling-limit kernel diagonal, R finite."""
+    if not 0 < R < math.inf:
+        raise DomainError("0 < R < inf required")
     LimitKernel(param)  # DomainError unless s > -1/2
     s = param.s
-    return _geometric_tail(lambda x: _limit_diag(s, x), s, R, growth, panels)
+    return _geometric_tail(lambda x: _limit_diag(s, x), s, R, panels)
 
 
 def variance_bound_check(param: HPParam, N: int, eps: float):
@@ -178,8 +178,8 @@ def variance_bound_check(param: HPParam, N: int, eps: float):
     T = int x^2 K(x,x) - double-int x y K(x,y)^2 over the window, always
     between 0 and the claimed bound 2 int x^2 K(x,x).  Returns (T, bound).
     """
-    if eps <= 0:
-        raise DomainError("eps > 0 required")
+    if not 0 < eps < math.inf:
+        raise DomainError("0 < eps < inf required")
     x, w = _window_nodes(eps, N)
     k = build_finite_kernel(param, N)
     diag = float(np.sum(w * x * x * k.rho1(x)))

@@ -9,14 +9,6 @@ class DomainError(ValueError):
     """Argument outside the supported domain."""
 
 
-class MomentDivergence(ValueError):
-    """Requested moment of the weight does not exist (integral diverges)."""
-
-
-class DegreeError(ValueError):
-    """Polynomial degree outside the range the basis was built for."""
-
-
 class GridTooCoarse(RuntimeError):
     """Discretization grid cannot carry the required spectral mass."""
 

@@ -48,6 +48,9 @@ __all__ = [
     "sample_damped_dpp",
 ]
 
+# rank of the finite-N kernel that stands in for the limit kernel on a grid
+PROXY_N = 64
+
 
 @dataclass(frozen=True)
 class VBasis:
@@ -90,13 +93,13 @@ def growth_certificate(vb: VBasis, k: int):
     return exponent, l2_verdict_from_exponent(exponent)
 
 
-def tail_growth_slope(vb: VBasis, k: int, T0: float = 2.0, levels: int = 10) -> float:
-    """Log-log slope of T -> integral of v_k^2 over [1, T], T = T0 4^j.
+def tail_growth_slope(vb: VBasis, k: int) -> float:
+    """Log-log slope of T -> integral of v_k^2 over [1, T], T = 2 4^j, j < 10.
 
     For a non-square-integrable v_k the integral follows the power law
-    T^(2 exponent + 1); the slope is fit on the last three doublings.
+    T^(2 exponent + 1); the slope is fit on the last four T.
     """
-    Ts = [T0 * 4.0**j for j in range(levels)]
+    Ts = [2.0 * 4.0**j for j in range(10)]
     vals = []
     total = 0.0
     lo = 1.0
@@ -136,15 +139,16 @@ class DampedGrid:
         return len(self.nodes)
 
 
-def make_damped_grid(R: float = 6.0, delta: float = 0.08, t_max: float = 80.0,
-                     t_panel: float = 2.5, x_panel: float = 0.25) -> DampedGrid:
-    if not (0 < delta < R) or t_max <= 1.0 / delta:
-        raise DomainError("need 0 < delta < R and t_max > 1/delta")
+def make_damped_grid() -> DampedGrid:
+    """The damped regime's grid: [-R, R] = [-6, 6] minus the hole
+    |x| < 1/t_max = 1/80, with 16 Gauss nodes a panel, panels 2.5 wide in
+    t = 1/x on (1/t_max, delta] = (1/80, 0.08] and 0.25 wide in x on the
+    bulk [delta, R], the last of each cut at t_max and R, mirrored."""
+    R, delta, t_max = 6.0, 0.08, 80.0
     # oscillatory region (1/t_max, delta]: panels uniform in t = 1/x
-    t_edges = np.arange(1.0 / delta, t_max + t_panel, t_panel)
-    t, wt = gauss_panels(np.minimum(t_edges, t_max))
+    t, wt = gauss_panels(np.minimum(np.arange(1.0 / delta, t_max + 2.5, 2.5), t_max))
     # bulk [delta, R]
-    x, w = gauss_panels(np.minimum(np.arange(delta, R + x_panel, x_panel), R))
+    x, w = gauss_panels(np.minimum(np.arange(delta, R + 0.25, 0.25), R))
     xp = np.concatenate([1.0 / t, x])
     wp = np.concatenate([wt / (t * t), w])
     nodes = np.concatenate([-xp[::-1], xp])
@@ -187,16 +191,15 @@ def _kernel_eigenbasis(s_prime: float, grid: DampedGrid, m: int,
     return U
 
 
-def contraction_norm(s_prime: float, sigma: float, grid: DampedGrid,
-                     proxy_N: int = 64) -> float:
+def contraction_norm(s_prime: float, sigma: float, grid: DampedGrid) -> float:
     """Largest eigenvalue of sqrt(1-g) Pi sqrt(1-g) on the grid, with the
-    finite-N proxy standing in for the limit kernel.  Strictly below 1;
+    rank-PROXY_N kernel standing in for the limit kernel.  Strictly below 1;
     DiscretizationWarning if within 1e-3 of 1."""
     if sigma <= 0:
         raise DomainError("sigma > 0 required")
     if s_prime <= -0.5:
         raise DomainError("s' > -1/2 required")
-    A = _proxy_features(s_prime, grid, proxy_N)
+    A = _proxy_features(s_prime, grid, PROXY_N)
     root = np.sqrt(-np.expm1(-sigma * grid.nodes**2))
     B = A * root[:, None]
     # spectrum of the conjugated kernel via the small Gram matrix B^H B
@@ -248,7 +251,7 @@ class DampedProjectionGrid:
 
 
 def damped_projection(param: HPParam, sigma: float, grid: DampedGrid,
-                      m: int, proxy_N: int = 64) -> DampedProjectionGrid:
+                      m: int, proxy_N: int = PROXY_N) -> DampedProjectionGrid:
     """Build the damped projection P = Q + (v-part).
 
     Q is the projection onto sqrt(g) times the span of the top-m proxy

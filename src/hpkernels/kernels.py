@@ -86,7 +86,7 @@ class FiniteKernel:
         t = self._scaled(x)
         N = self.N
         if self.route == "line_direct":
-            return self.monic.eval_weighted(t)[:, :N] * math.sqrt(N)
+            return self.monic.eval_weighted(t) * math.sqrt(N)
         phi, factor = _cayley(N, t)
         P = self.opuc.eval_weighted(phi)
         # gauge e^{i gamma}, gamma = (N-1) arg(i+t), makes the kernel real
@@ -143,7 +143,7 @@ def build_finite_kernel(param: HPParam, N: int, route: str = "circle_cayley") ->
     if route == "circle_cayley":
         return FiniteKernel(param, N, route, opuc=build_opuc(param, N))
     if route == "line_direct":
-        return FiniteKernel(param, N, route, monic=build_monic_line(param, N, N - 1))
+        return FiniteKernel(param, N, route, monic=build_monic_line(param, N))
     raise DomainError(f"unknown route {route!r}")
 
 
@@ -291,7 +291,8 @@ class VFunction:
     param: HPParam
     flavor: str = "limit"
     N: int = 0
-    monic: MonicLineBasis | None = field(default=None, compare=False)
+    # the prelimit flavor's line basis, built in __post_init__
+    monic: MonicLineBasis | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.param.s <= -0.5:
@@ -301,10 +302,7 @@ class VFunction:
         if self.flavor == "prelimit":
             if self.N < 2:
                 raise DomainError("prelimit flavor needs N >= 2")
-            if self.monic is None:
-                object.__setattr__(
-                    self, "monic", build_monic_line(self.param, self.N, self.N - 1)
-                )
+            object.__setattr__(self, "monic", build_monic_line(self.param, self.N))
 
 
 def eval_V(v: VFunction, x):
@@ -346,16 +344,16 @@ def log_v_norm_sq(s: float, N: int) -> float:
     return (1.0 + 2.0 * s) * math.log(N) + math.log(math.pi) + top_log_gammas(s, N)
 
 
-def v_norm_sq_quadrature(v: VFunction, T: float = 2000.0) -> float:
+def v_norm_sq_quadrature(v: VFunction) -> float:
     """Squared norm by quadrature of eval_V itself.
 
     Limit flavor: substitute u = 1/x, integrate V(1/u)^2/u^2 by panel GL on
     (0, T] (panel length ~pi tracks the oscillation) plus the closed
     asymptotic tail of the resulting J^2/u integrand beyond T.
     Prelimit flavor: t = Nx panels on [0, T] plus the monic-leading tail
-    T^(-2s-1)/(2s+1) (relative error O(T^-2)).
+    T^(-2s-1)/(2s+1) (relative error O(T^-2)).  T = 2000.
     """
-    s = v.param.s
+    s, T = v.param.s, 2000.0
     if v.flavor == "limit":
         n_panels = max(8, int(math.ceil(T / math.pi)))
         u, wq = panel_nodes(0.0, T, n_panels, 16)
@@ -379,23 +377,25 @@ def v_norm_sq_quadrature(v: VFunction, T: float = 2000.0) -> float:
 # Identity checks
 
 
+# the projection check's plan: |gamma| < _PROJ_DELTA in t = 1/gamma, then
+# panels of _PROJ_NODES Gauss nodes graded like the wavelength ~ pi gamma^2
+_PROJ_DELTA, _PROJ_NODES = 0.05, 8
+
+
 @dataclass(frozen=True)
 class ProjectionQuad:
-    """Quadrature plan for the projection check: |gamma| <= delta handled in
-    the t = 1/gamma variable up to |t| = t_max; [delta, R] covered by panels
-    graded like the local oscillation wavelength ~ pi gamma^2 / scale."""
+    """Quadrature plan for the projection check: the inner region
+    |gamma| < _PROJ_DELTA is integrated in t = 1/gamma up to t = t_max,
+    which sets the unresolved window |gamma| < 1/t_max of the bound."""
 
-    delta: float = 0.05
     t_max: float = 2.0e4
-    nodes: int = 8
-    grade: float = 0.5
 
 
-def _graded_edges(a: float, b: float, grade: float) -> np.ndarray:
+def _graded_edges(a: float, b: float) -> np.ndarray:
     edges = [a]
     g = a
     while g < b:
-        g = g + grade * g * g
+        g = g + 0.5 * g * g
         edges.append(min(g, b))
     return np.asarray(edges)
 
@@ -433,11 +433,11 @@ def _pm_products(x: float, y: float, FGxy, a: np.ndarray, F, G):
 @functools.lru_cache(maxsize=4)
 def _inner_table(s: float, q: ProjectionQuad):
     """Nodes t, weights w and F, G at g = 1/t on the inner region |g| <
-    delta of check_projection; independent of (x, y), hence kept per
+    _PROJ_DELTA of check_projection; independent of (x, y), hence kept per
     (s, plan) and read-only."""
-    t0 = 1.0 / q.delta
+    t0 = 1.0 / _PROJ_DELTA
     n_panels = int(math.ceil((q.t_max - t0) / math.pi))
-    tg, tw = panel_nodes(t0, q.t_max, n_panels, q.nodes)
+    tg, tw = panel_nodes(t0, q.t_max, n_panels, _PROJ_NODES)
     table = (tg, tw, *_limit_FG(s, 1.0 / tg))
     for arr in table:
         arr.flags.writeable = False
@@ -465,11 +465,11 @@ def check_projection(
     the default plan that only matters once the tail piece is smaller.
 
     F and G are evaluated once per node |g| and shared by g = +|g| and
-    g = -|g| through their parity.  The inner region |g| < delta does not
-    depend on (x, y): its nodes, weights and F, G are held per (s, plan),
-    about 1.6 MB at the default plan, at most 4 entries.  F and G at x and
-    y are evaluated once and serve the products, the target K(x, y) and
-    both pieces of the bound.
+    g = -|g| through their parity.  The inner region |g| < _PROJ_DELTA
+    does not depend on (x, y): its nodes, weights and F, G are held per
+    (s, plan), about 1.6 MB at the default plan, at most 4 entries.  F and
+    G at x and y are evaluated once and serve the products, the target
+    K(x, y) and both pieces of the bound.
     """
     s = k.param.s
     if s < _PROJECTION_S_MIN:
@@ -483,8 +483,8 @@ def check_projection(
     tg, tw, F, G = _inner_table(s, q)
     for vals in _pm_products(x, y, FGxy, 1.0 / tg, F, G):
         total += float(np.sum(tw * vals / (tg * tg)))
-    # graded panels on delta <= |gamma| <= R
-    g_nodes, g_w = gauss_panels(_graded_edges(q.delta, R_trunc, q.grade), q.nodes)
+    # graded panels on _PROJ_DELTA <= |gamma| <= R
+    g_nodes, g_w = gauss_panels(_graded_edges(_PROJ_DELTA, R_trunc), _PROJ_NODES)
     for vals in _pm_products(x, y, FGxy, g_nodes, *_limit_FG(s, g_nodes)):
         total += float(np.sum(g_w * vals))
     if not math.isfinite(total):

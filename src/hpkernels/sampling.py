@@ -63,11 +63,13 @@ class SamplerConfig:
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
-            raise DomainError("seed must fit in 64 bits")
+            raise DomainError("0 <= seed < 2^64 required")
         if self.method not in ("spectral_dpp", "mcmc"):
             raise DomainError(f"unknown method {self.method!r}")
-        if min(self.step_scale, self.burn_in, self.thinning, self.n_chains) <= 0:
-            raise DomainError("chain parameters must be positive")
+        bad = [n for n in ("step_scale", "burn_in", "thinning", "n_chains")
+               if not getattr(self, n) > 0]
+        if bad:
+            raise DomainError(f"{', '.join(bad)} must be positive")
 
 
 # ---------------------------------------------------------------------------

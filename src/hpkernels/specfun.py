@@ -81,26 +81,23 @@ def jsq_over_t_tail(nu: float, T: float) -> float:
     ) / (2.0 * math.pi * T * T)
 
 
-def jsq_over_t_integral(
-    nu: float,
-    T: float = 2000.0,
-    nodes_per_panel: int = 16,
-) -> float:
+def jsq_over_t_integral(nu: float) -> float:
     """Integral of J_nu(t)^2 / t over (0, infinity), for nu >= 1/2.
 
-    Panel Gauss-Legendre on [0, T] (panel length ~pi, tracking the
-    oscillation of J^2; the first panel graded dyadically toward 0 over 40
-    levels, which resolves the t^(2 nu - 1) behaviour there when 2 nu is not
-    an integer) plus the closed asymptotic tail.  The tail expansion error
-    ~ (3 + 4 nu^2)/T^3 dominates: measured below 5e-11 against Watson's
-    1/(2 nu) for nu in [1/2, 2.3] at T = 2000.
+    16-node panel Gauss-Legendre on [0, T], T = 2000 (panel length ~pi,
+    tracking the oscillation of J^2; the first panel graded dyadically
+    toward 0 over 40 levels, which resolves the t^(2 nu - 1) behaviour there
+    when 2 nu is not an integer) plus the closed asymptotic tail.  The tail
+    expansion error ~ (3 + 4 nu^2)/T^3 dominates: measured below 5e-11
+    against Watson's 1/(2 nu) for nu in [1/2, 2.3].
     """
     if nu < 0.5:
         raise DomainError("jsq_over_t_integral requires nu >= 1/2")
+    T = 2000.0
     n_panels = max(8, int(math.ceil(T / math.pi)))
     h = T / n_panels
-    x0, w0 = graded_nodes(h, 40, nodes_per_panel)
-    x1, w1 = panel_nodes(h, T, n_panels - 1, nodes_per_panel)
+    x0, w0 = graded_nodes(h, 40, 16)
+    x1, w1 = panel_nodes(h, T, n_panels - 1, 16)
     nodes, weights = np.concatenate((x0, x1)), np.concatenate((w0, w1))
     jv = bessel_j(nu, nodes)
     main = float(np.sum(weights * jv * jv / nodes))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegreeError, DomainError, MomentDivergence
+from .errors import DomainError
 
 __all__ = [
     "HPParam",
@@ -51,8 +51,8 @@ class HPParam:
     s_prime: float = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.s, complex):
-            raise DomainError("s must be real")
+        if isinstance(self.s, complex) or not math.isfinite(self.s):
+            raise DomainError(f"s must be real and finite, got {self.s!r}")
         n = 0 if self.s > -0.5 else math.ceil(-0.5 - self.s + 1e-15)
         while self.s + n <= -0.5:  # guard the boundary s + n = -1/2 exactly
             n += 1
@@ -233,12 +233,12 @@ def build_opuc(param: HPParam, n: int) -> OPUCBasis:
     return OPUCBasis(param=param, degree_count=n, alpha=alpha)
 
 
-def cd_identity_residual(basis: OPUCBasis, n: int, theta: float, tau: float) -> float:
+def cd_identity_residual(basis: OPUCBasis, theta: float, tau: float) -> float:
     """Residual of the Christoffel-Darboux identity
     sum_{k<n} p_k(z) conj(p_k(w)) = (conj(p*_n(w)) p*_n(z) - conj(p_n(w)) p_n(z)) / (1 - z conj(w))
-    at z = e^{i theta}, w = e^{i tau}."""
-    if n + 1 > basis.degree_count:
-        raise DegreeError(f"need degree {n}, basis holds {basis.degree_count}")
+    at z = e^{i theta}, w = e^{i tau}, with n = degree_count - 1: the sum
+    runs over all degrees but the top one, which the right side reads."""
+    n = basis.degree_count - 1
     z = np.exp(1j * theta)
     wz = np.exp(1j * tau)
     if abs(z - wz) < 1e-14:
@@ -263,16 +263,19 @@ _LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 class MonicLineBasis:
     """Monic orthogonal polynomials for the line weight (1+x^2)^(-s-N).
 
-    Only degrees 0..N-1 are square-integrable against the weight.  b[k] is
-    the recurrence coefficient b_k (b[0] = 0); sq_norms[k] is the squared
-    weight-norm h_k = h_0 b_1 ... b_k.
+    Only degrees 0..N-1 are square-integrable against the weight, and the
+    basis holds exactly those.  b[k] is the recurrence coefficient b_k
+    (b[0] = 0); sq_norms[k] is the squared weight-norm h_k = h_0 b_1 ... b_k.
     """
 
     param: HPParam
     N: int
-    degree_count: int
     b: np.ndarray
     sq_norms: np.ndarray
+
+    @property
+    def degree_count(self) -> int:
+        return self.N
 
     def eval_all(self, x) -> np.ndarray:
         """Evaluate all polynomials: returns (len(x), degree_count)."""
@@ -337,22 +340,19 @@ def top_log_gammas(s: float, N: int) -> float:
     )
 
 
-def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:
-    """Monic pseudo-Jacobi polynomials p_0..p_{max_degree} from the closed
-    form b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)), a = s+N, and
-    h_0 = sqrt(pi) Gamma(a-1/2)/Gamma(a); refuses degrees >= N, beyond the
-    N-dimensional space the finite kernel projects onto."""
+def build_monic_line(param: HPParam, N: int) -> MonicLineBasis:
+    """Monic pseudo-Jacobi polynomials p_0..p_{N-1}, the N-dimensional space
+    the finite kernel projects onto (higher degrees are not square-integrable
+    against the weight), from the closed form
+    b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)), a = s+N, and
+    h_0 = sqrt(pi) Gamma(a-1/2)/Gamma(a)."""
     s = param.s
     if s <= -0.5:
         raise DomainError("build_monic_line requires effective s > -1/2")
-    if max_degree >= N:
-        raise MomentDivergence(
-            f"degree {max_degree} needs moments beyond order 2N-2; only degrees <= N-1 exist"
-        )
-    if max_degree < 0:
-        raise DomainError("max_degree must be >= 0")
+    if N < 1:
+        raise DomainError("N >= 1 required")
     a = s + N
-    k = np.arange(1, max_degree + 1)
+    k = np.arange(1, N)
     # 2a - 2k -+ 1 formed from 2s + 1: at k = N-1 and s -> -1/2 it is 2s + 1,
     # whose digits 2a - 2k - 1 loses to 2a
     c = 2.0 * s + 1.0
@@ -361,4 +361,4 @@ def build_monic_line(param: HPParam, N: int, max_degree: int) -> MonicLineBasis:
     # the product h_0 b_1 ... b_k is summed in logs: mid-range h_k drop
     # below the double-precision range at N ~ 1000 while h_{N-1} does not
     log_h = log_h0 + np.concatenate(([0.0], np.cumsum(np.log(b[1:]))))
-    return MonicLineBasis(param, N, max_degree + 1, b, np.exp(log_h))
+    return MonicLineBasis(param, N, b, np.exp(log_h))

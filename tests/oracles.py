@@ -87,6 +87,26 @@ def piecewise_tail(diag, s: float, R: float, growth: float, panels: int) -> floa
     return 2.0 * (total + tail)
 
 
+def per_panel_damped_grid(R=6.0, delta=0.08, t_max=80.0, t_panel=2.5, x_panel=0.25):
+    """(nodes, weights) of the damped grid built one Gauss-Legendre panel of
+    16 nodes at a time: panels t_panel wide in t = 1/x on (1/t_max, delta],
+    x_panel wide on [delta, R], the last of each cut at t_max and R, then
+    mirrored.  The defaults are infmeasures.make_damped_grid's."""
+    xs, ws = [], []
+    t_edges = np.arange(1.0 / delta, t_max + t_panel, t_panel)
+    for a, b in zip(t_edges[:-1], t_edges[1:]):
+        t, wt = panel_nodes(a, min(b, t_max), 1)
+        xs.append(1.0 / t)
+        ws.append(wt / (t * t))
+    edges = np.arange(delta, R + x_panel, x_panel)
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = panel_nodes(a, min(b, R), 1)
+        xs.append(x)
+        ws.append(w)
+    xp, wp = np.concatenate(xs), np.concatenate(ws)
+    return np.concatenate([-xp[::-1], xp]), np.concatenate([wp[::-1], wp])
+
+
 def limit_recurrence_composed(s: float, x: float, y: float) -> float:
     """The residual of kernels.check_limit_recurrence composed from the
     public pieces: K^(s) and K^(s+1) by eval_limit_kernel, and the rank-one

@@ -207,17 +207,18 @@ class TestTailMass:
         assert limit_tail_mass(HPParam(s), 5.0) == 2.0 * (total + tail)
 
     @pytest.mark.parametrize("s", [-0.3, 0.0, 1.3])
-    @pytest.mark.parametrize("growth", [1.7, 2.0])
     @pytest.mark.parametrize("panels", [0, 1, 14])
-    def test_one_pass_tail_sums_as_the_piece_loop(self, s, growth, panels):
+    def test_one_pass_tail_sums_as_the_piece_loop(self, s, panels):
         # one diagonal call on all nodes, summed piece by piece in the
-        # loop's order: the limit tail keeps every bit
-        got = limit_tail_mass(HPParam(s), 3.0, growth, panels)
-        ref = piecewise_tail(lambda x: _limit_diag(s, x), s, 3.0, growth, panels)
+        # loop's order: the limit tail keeps every bit; tail_mass has the
+        # shipped 14 pieces
+        got = limit_tail_mass(HPParam(s), 3.0, panels)
+        ref = piecewise_tail(lambda x: _limit_diag(s, x), s, 3.0, 2.0, panels)
         assert got.hex() == ref.hex()
-        k = build_finite_kernel(HPParam(s), 20)
-        assert tail_mass(HPParam(s), 20, 3.0, growth, panels) == pytest.approx(
-            piecewise_tail(k.rho1, s, 3.0, growth, panels), rel=1e-15)
+        if panels == 14:
+            k = build_finite_kernel(HPParam(s), 20)
+            assert tail_mass(HPParam(s), 20, 3.0) == pytest.approx(
+                piecewise_tail(k.rho1, s, 3.0, 2.0, panels), rel=1e-15)
 
     def test_bad_R(self):
         with pytest.raises(DomainError):
@@ -360,3 +361,27 @@ class TestBalanceExperiment:
     def test_json_csv_output(self):
         rep = gamma1_balance_experiment(8, [4, 8], [2], draws=3, seed=1)
         assert json.loads(json.dumps(rep)) == rep
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HPParam(NAN),
+    lambda: HPParam(INF),
+    lambda: HPParam(-INF),
+    lambda: rho1_second_moment(HPParam(0.0), 10, NAN),
+    lambda: circle_moment_JN(HPParam(0.0), 10, NAN),
+    lambda: variance_bound_check(HPParam(0.0), 10, NAN),
+    lambda: variance_bound_check(HPParam(0.0), 10, INF),
+    lambda: tail_mass(HPParam(0.0), 10, NAN),
+    lambda: tail_mass(HPParam(0.0), 10, INF),
+    lambda: limit_tail_mass(HPParam(0.0), NAN),
+    lambda: limit_tail_mass(HPParam(0.0), INF),
+], ids=["s-nan", "s-inf", "s-minus-inf", "moment-eps-nan", "circle-eps-nan",
+        "variance-eps-nan", "variance-eps-inf", "tail-R-nan", "tail-R-inf",
+        "limit-tail-R-nan", "limit-tail-R-inf"])
+def test_non_finite_input_is_refused_at_entry(call):
+    # a DomainError, never a number or another error from deeper down
+    with pytest.raises(DomainError):
+        call()
