@@ -83,23 +83,25 @@ class FiniteKernel:
         K(x, y) = sum_k M[x, k] conj(M[y, k]); for the circle route the
         phase gauge is already fixed so that the sum is real up to roundoff.
         """
-        t = self._scaled(x)
+        x, t = self._scaled(x)
         N = self.N
         if self.route == "line_direct":
             return self.monic.eval_weighted(t) * math.sqrt(N)
-        phi, factor = _cayley(N, t)
+        phi, factor = _cayley(N, x, t)
         P = self.opuc.eval_weighted(phi)
         # gauge e^{i gamma}, gamma = (N-1) arg(i+t), makes the kernel real
         gauge = np.exp(1j * (N - 1) * (0.5 * np.pi - np.arctan(t)))
         P *= (gauge * factor)[:, None]
         return P
 
-    def _scaled(self, x) -> np.ndarray:
-        """t = N x, refusing x = 0."""
+    def _scaled(self, x):
+        """(x, t = N x) as arrays, refusing x = 0; t is inf where N |x|
+        overflows."""
         xx = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xx == 0.0):
             raise DomainError("kernel features are defined on R*")
-        return self.N * xx
+        with np.errstate(over="ignore"):
+            return xx, self.N * xx
 
     def kernel_matrix(self, x, y) -> np.ndarray:
         """K on the grid x (rows) by y (columns); real part returned, the
@@ -117,7 +119,7 @@ class FiniteKernel:
         """
         if self.route == "line_direct":
             return np.sum(np.abs(self.feature_matrix(x)) ** 2, axis=1)
-        return self.opuc.diag_weighted(*_cayley(self.N, self._scaled(x)))
+        return self.opuc.diag_weighted(*_cayley(self.N, *self._scaled(x)))
 
     def rho1_theta(self, theta) -> np.ndarray:
         """Circle-side density lambda(theta) sum |p_k|^2 w.r.t. d theta/2pi."""
@@ -127,11 +129,19 @@ class FiniteKernel:
         return self.opuc.diag_weighted(theta - np.copysign(np.pi, theta))
 
 
-def _cayley(N: int, t: np.ndarray):
-    """z = (1 + i t)/(1 - i t) = -e^{i phi}: returns the signed angle phi
-    from the singular point, and sqrt(N/pi) / |1 - i t|, which turns circle
-    functions into line functions of x = t/N."""
-    phi = -np.copysign(2.0 * np.arctan(1.0 / np.abs(t)), t)
+def _cayley(N: int, x: np.ndarray, t: np.ndarray):
+    """z = (1 + i t)/(1 - i t) = -e^{i phi}, t = N x: returns the signed
+    angle phi from the singular point, and sqrt(N/pi) / |1 - i t|, which
+    turns circle functions into line functions of x.
+
+    1/|t| overflows to inf at subnormal t, giving phi = -+pi as it should.
+    Where t itself overflowed, phi = -sgn(x) 2 (1/N)/|x|: 2 arctan(1/|t|)
+    is 2/|t| to all digits below the normal range, and this keeps phi off
+    the singular point."""
+    with np.errstate(over="ignore"):
+        phi = -np.copysign(2.0 * np.arctan(1.0 / np.abs(t)), t)
+    far = np.isinf(t) & np.isfinite(x)
+    phi[far] = -np.copysign(2.0 * (1.0 / N) / np.abs(x[far]), x[far])
     return phi, math.sqrt(N / math.pi) / np.hypot(1.0, t)
 
 

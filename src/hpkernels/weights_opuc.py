@@ -10,7 +10,13 @@ its relative precision:
 
 - circle: the closed-form Verblunsky coefficients of the circular Jacobi
   weight, alpha_k = (-1)^k s/(k+s+1), run through the Szego recursion
-  (Simon, OPUC, 2005; Bourgade-Nikeghbali-Rouault, IMRN 2009);
+  (Simon, OPUC, 2005; Bourgade-Nikeghbali-Rouault, IMRN 2009).  Its
+  weighted diagonal sum_k |p_k|^2 runs a real half-angle form of it: with
+  real alpha, p*_k = z^k conj(p_k) on the circle, so one state q_k =
+  w^{-k} p_k, w^2 = z, is rotated by w and its real and imaginary parts
+  scaled by A_k and 1/A_k, A_k^2 = (1-alpha_k)/(1+alpha_k) in closed form;
+  the rotation's rounded |w|^2 = 1 + delta is formed exactly and its
+  (1+delta)^k drift taken off;
 - line: the monic pseudo-Jacobi (Romanovski) three-term recurrence
   p_{k+1} = x p_k - b_k p_{k-1}, b_k = k(2a-k)/((2a-2k-1)(2a-2k+1)),
   a = s+N.
@@ -139,15 +145,17 @@ class OPUCBasis:
         z = -e^{i phi}, over all degree_count degrees: the row sums of
         |factor eval_weighted(phi)|^2, in O(points) memory.
 
-        One Szego pass adds each weighted |p_k|^2 to a per-point sum.  The
-        weight and factor enter every term before it is squared, never the
-        sum: sum |p_k|^2 alone overflows near phi = 0 at s = 300, n = 1000,
-        and where a term falls below the normal range it rounds as the same
-        entry of factor eval_weighted(phi) does.
+        One pass of the half-angle Szego recursion (_szego_sq_sum) adds each
+        weighted |p_k|^2 to a per-point sum; its coefficients come from the
+        closed form alpha_k = (-1)^k s/(k+s+1) of build_opuc, not from
+        alpha.  The weight and factor scale the starting state, so they
+        enter every term before it is squared, never the sum: sum |p_k|^2
+        alone overflows near phi = 0 at s = 300, n = 1000.  The binary
+        exponent of the weight's root joins only at the end.
         """
         ff = np.atleast_1d(np.asarray(phi, dtype=float))
         root, e = _root_weight(self.param.s, ff)
-        acc = _szego_sq_sum(self.alpha, -np.exp(1j * ff), root * factor)
+        acc = _szego_sq_sum(self.param.s, self.degree_count, ff, root * factor)
         return np.ldexp(acc, 2 * e)
 
 
@@ -196,27 +204,77 @@ def _szego(alpha: np.ndarray, z: np.ndarray):
 
 
 _SUM_RUN = 32  # degrees summed apart before _szego_sq_sum adds them in
+_SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 
 
-def _szego_sq_sum(alpha: np.ndarray, z: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """sum_{k <= len(alpha)} |scale p_k(z)|^2 by the arithmetic of _szego,
-    holding only p_k, p*_k and two sums: each run of _SUM_RUN terms is
-    summed on its own and then added to the total, so rounding grows like
-    _SUM_RUN + n/_SUM_RUN, not n: one running sum drifts 2.7e-14 relative
-    from the pairwise row sums at s = 0, n = 1000."""
-    rho = np.sqrt(1.0 - alpha * alpha)
-    total = np.zeros(z.size)
-    run = scale * scale
-    p = star = np.ones(z.size, dtype=complex)
-    for k, (a, r) in enumerate(zip(alpha, rho), 1):
+def _szego_sq_sum(s: float, n: int, phi: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """sum_{k < n} |scale p_k(z)|^2 at z = -e^{i phi} for the Verblunsky
+    coefficients alpha_k = (-1)^k s/(k+s+1), by a real half-angle form of
+    the Szego recursion that holds one state per point, not p_k and p*_k.
+
+    With w = i e^{i phi/2}, w^2 = z, and real alpha, p*_k = w^k conj(q_k)
+    for q_k = w^{-k} p_k, so q_{k+1} = (w q_k - alpha_k conj(w q_k))/rho_k:
+    rotate (Re q, Im q) by w, then scale Re by A_k and Im by 1/A_k, where
+    A_k^2 = (1-alpha_k)/(1+alpha_k) = (k+1)/(k+2s+1) for even k and its
+    inverse for odd k, free of cancellation as alpha_k -> +-1.  |q_k| =
+    |p_k|.  The rounded (cos, sin) pair of w has squared modulus 1 + delta,
+    so the rotation scales term k by (1+delta)^k: delta is formed without
+    rounding and delta k t_k is taken off each term, k at the midpoint of
+    its run.  Each run of _SUM_RUN terms is summed on its own and then
+    added to the total, so rounding grows like _SUM_RUN + n/_SUM_RUN, not
+    n: one running sum drifts 2.7e-14 relative from the pairwise row sums
+    at s = 0, n = 1000."""
+    cw, sw = -np.sin(0.5 * phi), np.cos(0.5 * phi)
+    delta = _unit_excess(cw, sw)
+    j = np.arange(n - 1)
+    up, down = j + 1.0, j + 2.0 * s + 1.0
+    odd = j % 2 == 1
+    A = np.sqrt(np.where(odd, down / up, up / down))
+    A, A_inv = A.tolist(), (1.0 / A).tolist()
+    c, d = scale, np.zeros(phi.shape)
+    total = np.zeros(phi.shape)
+    run = c * c
+    for k in range(1, n):
         if k % _SUM_RUN == 0:
-            total += run
-            run = np.zeros(z.size)
-        zp = z * p
-        p = (zp - a * star) / r
-        star = (star - a * zp) / r
-        run += np.abs(p * scale) ** 2
-    return total + run
+            total += run * (1.0 - (k - 0.5 * (_SUM_RUN + 1)) * delta)
+            run = np.zeros(phi.shape)
+        # in place: at these sizes a fresh array costs about what the
+        # operation does
+        c_next = cw * c
+        c_next -= sw * d
+        c_next *= A[k - 1]
+        d_next = sw * c
+        d_next += cw * d
+        d_next *= A_inv[k - 1]
+        c, d = c_next, d_next
+        square = c * c
+        square += d * d
+        run += square
+    k0 = (n - 1) // _SUM_RUN * _SUM_RUN
+    return total + run * (1.0 - 0.5 * (k0 + n - 1) * delta)
+
+
+def _unit_excess(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """c^2 + s^2 - 1 for c^2 + s^2 near 1, without rounding to first order:
+    each square is its rounded value plus its exact error (Dekker's
+    product), the rounded sum plus its exact error (Knuth's two-sum), and
+    the rounded sum minus 1 is exact."""
+    c2, c2_err = _square(c)
+    s2, s2_err = _square(s)
+    total = c2 + s2
+    s2_part = total - c2
+    sum_err = (c2 - (total - s2_part)) + (s2 - s2_part)
+    return (total - 1.0) + (sum_err + c2_err + s2_err)
+
+
+def _square(a: np.ndarray):
+    """(a*a, its rounding error), exactly: a is split into 26-bit halves
+    whose products round nowhere."""
+    hi = _SPLIT * a
+    hi -= hi - a
+    lo = a - hi
+    sq = a * a
+    return sq, ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
 
 
 def build_opuc(param: HPParam, n: int) -> OPUCBasis:

@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 
 from hpkernels.kernels import LimitKernel, eval_limit_kernel
 from hpkernels.quadrature import panel_nodes
 from hpkernels.specfun import bessel_j
-from hpkernels.weights_opuc import HPParam
+from hpkernels.weights_opuc import HPParam, _root_weight
 
 
 def de_nodes(n: int, t_max: float = 4.2):
@@ -48,6 +49,44 @@ def cd_sum_circle(basis, N: int, alpha: float, beta: float) -> complex:
     pa = basis.eval_all(np.exp(1j * alpha))[0, :N]
     pb = basis.eval_all(np.exp(1j * beta))[0, :N]
     return complex(math.sqrt(la * lb) * np.sum(pa * np.conj(pb)))
+
+
+def szego_diag_extended(s: float, N: int, phi, factor=1.0) -> np.ndarray:
+    """sum_{k<N} |factor sqrt(lambda) p_k|^2 at z = -e^{i phi}, as
+    OPUCBasis.diag_weighted defines it, from the two-state Szego recursion
+    (p_k, p*_k) run in np.clongdouble (a 64-bit mantissa on x86) on the same
+    float phi, with alpha_k = (-1)^k s/(k+s+1) formed in long double.  The
+    sum is multiplied by the code's own (root factor)^2 2^(2e), root 2^e from
+    weights_opuc._root_weight, so it checks the sum, not the weight."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    root, e = _root_weight(s, phi)
+    z = -np.exp(1j * phi.astype(np.longdouble))
+    p = star = np.ones(phi.size, dtype=np.clongdouble)
+    acc = np.ones(phi.size, dtype=np.longdouble)
+    s_ld = np.longdouble(s)
+    for k in range(N - 1):
+        a = (-1) ** k * s_ld / (k + s_ld + 1)
+        r = np.sqrt(1 - a * a)
+        zp = z * p
+        p, star = (zp - a * star) / r, (star - a * zp) / r
+        acc += p.real ** 2 + p.imag ** 2
+    scale = np.longdouble(root * factor)
+    return np.ldexp(acc * scale * scale, 2 * e).astype(float)
+
+
+def szego_sq_sum_mp(s: float, N: int, z):
+    """sum_{k<N} |p_k(z)|^2 at mpmath's working precision: the Szego
+    recursion from alpha_k = (-1)^k s/(k+s+1)."""
+    ms = mpmath.mpf(s)
+    p = star = mpmath.mpc(1)
+    acc = mpmath.mpf(1)
+    for k in range(N - 1):
+        a = (-1) ** k * ms / (k + ms + 1)
+        r = mpmath.sqrt(1 - a * a)
+        zp = z * p
+        p, star = (zp - a * star) / r, (star - a * zp) / r
+        acc += abs(p) ** 2
+    return acc
 
 
 def reflected_phi_n(s: float, n: int, alpha: float, beta: float) -> complex:

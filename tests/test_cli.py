@@ -121,6 +121,19 @@ class TestExitCodes:
         assert "budget" in lines[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("s", ["-0.3", "0.3"])
+    def test_kernel_table_at_overflowing_x_is_zero(self, capsys, tmp_path, monkeypatch, s):
+        # N x overflows on the whole grid: every entry is 0, without a
+        # warning, also at s < 0 where the weight is singular at x = inf
+        monkeypatch.setenv("HPK_DATA_DIR", str(tmp_path))
+        argv = ["table", "kernel", "--grid", "1e305:1e307:3", "--s", s, "--N", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", "k.csv"]) == 0
+        capsys.readouterr()
+        values = np.loadtxt(tmp_path / "k.csv", delimiter=",", skiprows=2)[:, 2]
+        assert values.size == 9 and np.all(values == 0.0)
+
     def test_table_budget_is_bytes(self, capsys, tmp_path, monkeypatch):
         # a 12 x 12 table of complex doubles takes 2304 bytes: a budget of
         # exactly that admits it, byte for byte as under the default budget,

@@ -4,6 +4,7 @@ corner-trace balance experiment."""
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from hpkernels.sampling import (
     sample_projection_dpp_batch,
 )
 from hpkernels.weights_opuc import HPParam, build_opuc
-from oracles import cd_sum_circle, piecewise_tail
+from oracles import cd_sum_circle, piecewise_tail, szego_sq_sum_mp
 
 
 class TestTent:
@@ -123,6 +124,22 @@ class TestPrincipalValueSums:
         assert list(hard) == list(tent) == [0.0, 0.0]
 
 
+def _circle_moment_30_digits(s, N, t, w):
+    """(2/N^2) sum_i w_i tan^2(t_i/2) lambda(t_i) sum_{k<N} |p_k(e^{i t_i})|^2 / 2pi
+    at 30 digits: the Szego recursion from alpha_k = (-1)^k s/(k+s+1) and
+    lambda = c_s (2 + 2cos t)^s, on the float nodes and weights as given."""
+    with mpmath.workdps(30):
+        ms = mpmath.mpf(s)
+        c_s = mpmath.gamma(ms + 1) ** 2 / mpmath.gamma(2 * ms + 1)
+        total = mpmath.mpf(0)
+        for ti, wi in zip(t, w):
+            th = mpmath.mpf(ti)
+            lam = c_s * (2 + 2 * mpmath.cos(th)) ** ms
+            density = lam * szego_sq_sum_mp(s, N, mpmath.expj(th)) / (2 * mpmath.pi)
+            total += mpmath.mpf(wi) * mpmath.tan(th / 2) ** 2 * density
+        return 2 * total / (N * N)
+
+
 class TestSecondMoment:
     def test_transport_equality(self):
         # line-side and angle-side quadratures of the same moment
@@ -133,13 +150,19 @@ class TestSecondMoment:
             assert a >= 0.0
 
     def test_circle_moment_matches_pointwise_cd_sums(self):
-        # reference: the circle density node by node through cd_sum_circle
+        # references: the circle density node by node through cd_sum_circle,
+        # and the same quadrature sum with the density (the Szego recursion
+        # and the weight) at 30 digits; circle_moment_JN is at most 1 ulp
+        # further from the latter than the float reference is
         for s, N, eps in [(0.5, 6, 0.3), (-0.3, 10, 0.1)]:
             basis = build_opuc(HPParam(s), N)
             t, w = ergodics._half_window_nodes(2.0 * math.atan(N * eps), N)
             vals = np.array([cd_sum_circle(basis, N, ti, ti).real for ti in t])
             ref = 2.0 * float(np.sum(w * np.tan(t / 2.0) ** 2 * vals / (2.0 * math.pi)))
-            assert circle_moment_JN(HPParam(s), N, eps) == ref / (N * N)
+            exact = float(_circle_moment_30_digits(s, N, t, w))
+            ulps = [abs(v - exact) / math.ulp(exact)
+                    for v in (circle_moment_JN(HPParam(s), N, eps), ref / (N * N))]
+            assert ulps[0] <= ulps[1] + 1.0
 
     def test_uniform_ratio_window(self):
         # sup_N of value/eps: stable within 3x once N*eps is order one

@@ -39,7 +39,13 @@ from hpkernels.kernels import (
     v_norm_sq_closed,
     v_norm_sq_quadrature,
 )
-from oracles import de_nodes, limit_recurrence_composed, reflected_phi_n
+from oracles import (
+    de_nodes,
+    limit_recurrence_composed,
+    reflected_phi_n,
+    szego_diag_extended,
+    szego_sq_sum_mp,
+)
 from hpkernels.weights_opuc import HPParam, eval_line_weight
 
 # frozen references (40-digit offline generator)
@@ -74,6 +80,20 @@ class TestFiniteKernel:
         assert float(k.kernel_matrix([0.25], [0.25])[0, 0]) == pytest.approx(
             float(K_S1_N3_DIAG), rel=1e-13
         )
+
+    @pytest.mark.parametrize("s", [-0.3, 0.3])
+    def test_overflowing_t_reads_zero(self, s):
+        # t = N x overflows at |x| = 1e307: the angle is taken from x, so
+        # s < 0 stays off the weight's singular point.  At subnormal x,
+        # 1/|t| overflows to the angle -+pi, as at x = 1e-300.  Neither warns.
+        k = build_finite_kernel(HPParam(s), 100)
+        x = np.array([1e307, -1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(k.rho1(x), [0.0, 0.0])
+            assert np.array_equal(k.kernel_matrix(x, x), np.zeros((2, 2)))
+            near_zero = k.rho1([1e-320, -1e-320])
+        assert np.array_equal(near_zero, k.rho1([1e-300, -1e-300]))
 
     def test_routes_agree_on_grid(self):
         g = np.array([-2.3, -0.7, 0.31, 0.9, 1.9])
@@ -182,9 +202,24 @@ class TestFiniteKernel:
             build_finite_kernel(HPParam(0.5), 3, "other")
 
 
+def _assert_no_less_accurate(got, rows, exact):
+    """got is no further from the extended-precision sum than the float row
+    sums, up to 1e-14 relative, on normal-range values; below the normal
+    range it equals the row sums."""
+    normal = exact >= np.finfo(float).tiny
+    assert np.any(normal)
+
+    def worst(v):
+        return np.max(np.abs(v[normal] - exact[normal]) / exact[normal])
+
+    assert worst(got) <= worst(rows) + 1e-14
+    assert np.array_equal(got[~normal], rows[~normal])
+
+
 class TestDiagonalRoute:
-    """rho1 and rho1_theta on the circle route sum |p_k|^2 inside the Szego
-    pass; the reference is the row sums of the feature rows."""
+    """rho1 and rho1_theta on the circle route sum |p_k|^2 inside their own
+    Szego pass; the references are the row sums of the feature rows and,
+    where those carry the larger rounding, the sum in extended precision."""
 
     @pytest.mark.parametrize("s", [-0.45, -0.3, 0.0, 0.5, 7.0, 300.0])
     @pytest.mark.parametrize("N", [1, 2, 64, 1000])
@@ -194,6 +229,10 @@ class TestDiagonalRoute:
         x = np.concatenate([x, -x])
         got = k.rho1(x)
         ref = np.sum(np.abs(k.feature_matrix(x)) ** 2, axis=1)
+        if N == 1000 or (N, s) == (64, 300.0):
+            phi, factor = kernels_mod._cayley(N, x, N * x)
+            _assert_no_less_accurate(got, ref, szego_diag_extended(s, N, phi, factor))
+            return
         # at s = 300 the weight underflows far out: both read exactly 0
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
@@ -207,7 +246,25 @@ class TestDiagonalRoute:
         got = k.rho1_theta(th)
         P = k.opuc.eval_weighted(th - np.copysign(np.pi, th))
         ref = np.sum(np.abs(P) ** 2, axis=1)
+        if N == 1000 or (N, s) == (64, 300.0):
+            exact = szego_diag_extended(s, N, th - np.copysign(np.pi, th))
+            _assert_no_less_accurate(got, ref, exact)
+            return
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    @pytest.mark.parametrize("s, phi", [(-0.3, [4.8e-6, -0.3]), (0.0, [4.8e-6, 2.5]),
+                                        (7.0, [-1e-3, 1.0]), (300.0, [0.3, -3.0])])
+    def test_extended_reference_matches_40_digits(self, s, phi):
+        # the Szego recursion and the weight's own square at 40 digits
+        N = 1000
+        got = szego_diag_extended(s, N, phi)
+        root, e = wo._root_weight(s, np.array(phi))
+        with mpmath.workdps(40):
+            for i, f in enumerate(phi):
+                acc = szego_sq_sum_mp(s, N, -mpmath.expj(mpmath.mpf(f)))
+                ref = acc * (mpmath.mpf(float(root[i])) * mpmath.mpf(2) ** int(e[i])) ** 2
+                assert ref > np.finfo(float).tiny
+                assert abs(got[i] - ref) <= 2.5e-16 * ref
 
     def test_weight_below_normal_range_keeps_digits(self):
         # at s = 300 the weight root falls below 1e-308 from x ~ 0.0112

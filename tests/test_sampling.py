@@ -217,6 +217,19 @@ def damped_basis():
     return dp.grid.nodes, dp.basis
 
 
+class TestGridPolish:
+    @pytest.mark.parametrize("s, N", [(-0.25, 6), (-0.25, 12), (0.0, 6), (0.0, 12),
+                                      (0.5, 6), (0.5, 12), (0.0, 64), (0.5, 64)])
+    def test_polished_rows_are_an_orthonormal_basis_of_the_grid_rows(self, circle_grid, s, N):
+        # the polish keeps the span of the grid's feature rows A and makes
+        # the columns orthonormal: Q^H Q = I and Q Q^H A = A
+        x, Q = circle_grid(s, N)
+        x_rows, A, _ = sampling._dpp_grid(build_finite_kernel(HPParam(s), N), x.size)
+        assert np.array_equal(x_rows, x)
+        assert np.max(np.abs(Q.conj().T @ Q - np.eye(N))) <= 1e-13
+        assert np.linalg.norm(A - Q @ (Q.conj().T @ A)) <= 1e-12 * np.linalg.norm(A)
+
+
 class TestBatchedDraws:
     """The chunked sampler equals the one-draw-at-a-time loop bit for bit."""
 
